@@ -20,6 +20,7 @@ from . import flow, svgplot, variation
 from .config import (
     build_flow_state,
     build_geometry,
+    build_grid_n,
     build_monitor,
     config_hash,
     load_config,
@@ -120,7 +121,7 @@ def cmd_stability(cp):
     curve, _ = build_geometry(cp)
     gammas = [float(t) for t in cp.get("stability", "gammas").split(",") if t.strip()]
     n_modes = _getint(cp, "stability", "n_modes")
-    grid_n = _getint(cp, "grid", "n")
+    grid_n = build_grid_n(cp)
     h = config_hash(cp)
     out = _outdir(cp)
     reports = []

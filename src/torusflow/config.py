@@ -240,6 +240,14 @@ def build_monitor(cp, curve, base):
     return StoppingMonitor(eps0=eps0, delta0=delta0, reference=reference)
 
 
+def build_grid_n(cp):
+    """grid.n, checked against the rasterization's smallest grid (128)."""
+    grid_n = _getint(cp, "grid", "n")
+    if grid_n is None or grid_n < 128 or grid_n & (grid_n - 1):
+        raise ConfigError("grid.n must be a power of two >= 128")
+    return grid_n
+
+
 def build_flow_state(cp, curve):
     from .flow import FlowParams, make_state
 
@@ -253,13 +261,10 @@ def build_flow_state(cp, curve):
     gamma = _getfloat(cp, "flow", "gamma")
     if gamma is None or gamma < 0:
         raise ConfigError("flow.gamma must be >= 0")
-    grid_n = _getint(cp, "grid", "n")
-    if grid_n is None or grid_n < 64 or grid_n & (grid_n - 1):
-        raise ConfigError("grid.n must be a power of two >= 64")
     params = FlowParams(
         scheme=scheme,
         c_cfl=_getfloat(cp, "flow", "c_cfl"),
         dt=_getfloat(cp, "flow", "dt"),
-        grid_n=grid_n,
+        grid_n=build_grid_n(cp),
     )
     return make_state(curve, kind, gamma=gamma, params=params)

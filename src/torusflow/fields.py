@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 from scipy.spatial import cKDTree
 from scipy.special import erf
 
 from .errors import ResolutionError
-from .geometry import CurveSamples, integrate_ds, perimeter
+from .geometry import CurveSamples, PeriodicCurve, integrate_ds, perimeter
 
 log = logging.getLogger(__name__)
 
@@ -65,10 +65,23 @@ class GridField:
 
 @dataclass
 class PotentialTrace:
-    """Trace and normal derivative of a potential along the curve."""
+    """Trace of a grid potential along the curve; the normal derivative is
+    computed from the potential's spectral gradient on first access."""
 
+    potential: GridField
+    curve: PeriodicCurve
     boundary_values: CurveSamples
-    normal_derivative: CurveSamples
+
+    @cached_property
+    def normal_derivative(self):
+        markers = self.curve.markers()
+        nu = self.curve.normals()
+        gx, gy = gradient(self.potential)
+        dnv = (
+            interpolate_grid(gx, markers) * nu[:, 0]
+            + interpolate_grid(gy, markers) * nu[:, 1]
+        )
+        return CurveSamples(dnv, kind="boundary-data")
 
 
 def _wavenumbers(n):
@@ -292,49 +305,34 @@ def rasterize_indicator(curve, n, width=1.5, smooth=True):
 # -- traces --------------------------------------------------------------------
 
 
-def _zero_pad_coeffs(fh, pad):
-    """Zero-pad unshifted fft2 output to a pad-times finer grid (Nyquist dropped)."""
-    n = fh.shape[0]
-    m = pad * n
-    half = n // 2
-    rows = np.concatenate([np.arange(half), np.arange(half + 1, n)])
-    targets = np.where(rows < half, rows, m - n + rows)
-    big = np.zeros((m, m), dtype=complex)
-    big[np.ix_(targets, targets)] = fh[np.ix_(rows, rows)]
-    return big
-
-
-def interpolate_grid(field_values, points, pad=4):
+def interpolate_grid(field_values, points):
     """Sample a grid field at arbitrary torus points.
 
-    Spectral zero-padding to a pad-times finer grid followed by bicubic
-    interpolation; accurate to ~1e-8 for the smoothed fields this package
-    produces.
+    Exact evaluation of the field's trigonometric interpolant (Nyquist row and
+    column dropped) by a direct Fourier sum: one exp(2 pi i k x) table per
+    axis and one (points x n) by (n x n) complex product.
     """
     n = field_values.shape[0]
-    big = _zero_pad_coeffs(np.fft.fft2(field_values), pad)
-    fine = np.fft.ifft2(big).real * pad**2
-    coords = np.mod(np.asarray(points), 1.0) * (pad * n)
-    return map_coordinates(fine, coords.T, order=3, mode="grid-wrap")
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    keep = k != -(n // 2)
+    c = np.fft.fft2(field_values)[np.ix_(keep, keep)] / n**2
+    p = 2j * np.pi * np.mod(np.asarray(points, dtype=float), 1.0)
+    ex = np.exp(np.outer(p[:, 0], k[keep]))
+    ey = np.exp(np.outer(p[:, 1], k[keep]))
+    return np.einsum("pk,pk->p", ex @ c, ey).real
 
 
-def potential_of_set(curve, n=256, width=1.5, pad=4):
-    """Zero-mean torus potential v_E of the phase indicator, plus its curve trace."""
+def potential_of_set(curve, n=256, width=1.5):
+    """Zero-mean torus potential v_E of the phase indicator, plus its curve trace.
+
+    The trace is the exact value of the grid potential's trigonometric
+    interpolant at the markers; its normal derivative is evaluated on first
+    access.
+    """
     u = rasterize_indicator(curve, n, width=width)
     v = solve_poisson_zero_mean(u)
-    markers = curve.markers()
-    tr = interpolate_grid(v.values, markers, pad=pad)
-    gx, gy = gradient(v)
-    nu = curve.normals()
-    dnv = (
-        interpolate_grid(gx, markers, pad=pad) * nu[:, 0]
-        + interpolate_grid(gy, markers, pad=pad) * nu[:, 1]
-    )
-    trace = PotentialTrace(
-        boundary_values=CurveSamples(tr, kind="boundary-data"),
-        normal_derivative=CurveSamples(dnv, kind="boundary-data"),
-    )
-    return v, trace
+    tr = interpolate_grid(v.values, curve.markers())
+    return v, PotentialTrace(v, curve, CurveSamples(tr, kind="boundary-data"))
 
 
 def line_mode_coefficients(curve, phi, n=256, width=2.0, kcut_frac=0.25):

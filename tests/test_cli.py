@@ -232,6 +232,15 @@ def test_exit_codes(tmp_path):
     assert main(["simulate", bad2]) == 2
 
 
+def test_small_grid_is_config_error(tmp_path, capsys):
+    # the rasterization needs n >= 128: a smaller grid is a config error (2),
+    # not a numerical stopping condition (1)
+    path = write_ini(tmp_path, SD_RUN.format(out=tmp_path))
+    overrides = ["-o", "flow.kind=ms", "-o", "flow.gamma=1", "-o", "grid.n=64"]
+    assert main(["simulate", path, *overrides]) == 2
+    assert "grid.n must be a power of two >= 128" in capsys.readouterr().err
+
+
 def test_dotted_flag_overrides(tmp_path, capsys):
     path = write_ini(tmp_path, SD_RUN.format(out=tmp_path))
     assert main(["simulate", path, "--flow.t_end=1.28e-4"]) == 0

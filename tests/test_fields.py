@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from torusflow import shapes
+from torusflow.bie import potential_normal_derivative
 from torusflow.errors import ResolutionError
 from torusflow.fields import (
     GridField,
@@ -109,6 +110,38 @@ def test_strip_energy_grid_convergence():
     assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1]
 
 
+def test_strip_trace_grid_convergence():
+    h = 0.3
+    st = shapes.strip(h, n=128)
+    exact = oracles.strip_potential_profile(st.markers()[:, 1], h)
+    errs = []
+    for n in (128, 256, 512):
+        _, trace = potential_of_set(st, n)
+        errs.append(np.abs(trace.boundary_values.values - exact).max())
+    assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1], errs
+    assert errs[2] < 1e-6, errs
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        shapes.perturbed_circle(0.2, 0.01, 3, n=128),
+        shapes.perturbed_strip(0.4, 1e-2, 1, n=96),
+    ],
+    ids=["perturbed_circle", "perturbed_strip"],
+)
+def test_grid_normal_derivative_converges_to_kress(curve):
+    # the grid's spectral gradient and the single-layer identity Dv_E = -2 S[nu]
+    # are independent discretisations of d_nu v_E; the grid one is first order
+    kress = potential_normal_derivative(curve).values
+    errs = []
+    for n in (128, 256, 512):
+        _, trace = potential_of_set(curve, n)
+        errs.append(np.abs(trace.normal_derivative.values - kress).max())
+    assert errs[1] <= 0.6 * errs[0] and errs[2] <= 0.6 * errs[1], errs
+    assert errs[2] < 2e-3, errs
+
+
 def test_circle_trace_square_symmetry():
     c = shapes.circle(0.2, n=256)
     _, trace = potential_of_set(c, 256)
@@ -170,8 +203,9 @@ def test_interpolate_grid_bandlimited():
     exact = np.cos(2 * np.pi * (3 * pts[:, 0] - 2 * pts[:, 1])) + 0.5 * np.sin(
         2 * np.pi * pts[:, 1]
     )
-    got = interpolate_grid(f, pts, pad=4)
-    assert np.abs(got - exact).max() < 1e-6
+    # the evaluation is the field's trigonometric interpolant: exact when band-limited
+    got = interpolate_grid(f, pts)
+    assert np.abs(got - exact).max() < 1e-12
 
 
 def test_gridfield_binary_roundtrip(tmp_path):
