@@ -37,6 +37,20 @@ def _series_terms(umax):
     return int(min(_GREEN_SERIES_TERMS, np.ceil(30.0 / (2.0 * np.pi * max(1.0 - umax, 0.5)))))
 
 
+def _separation(x, y):
+    """Wrapped displacement (dx, dy) of x - y (or of x alone) and its s2 term.
+
+    Raises SingularityError where the points coincide on the torus.
+    """
+    z = np.asarray(x, dtype=float) if y is None else np.asarray(x, float) - np.asarray(y, float)
+    dx = _wrap_half(z[..., 0])
+    dy = _wrap_half(z[..., 1])
+    s2 = np.sin(np.pi * dx) ** 2 + np.sinh(np.pi * dy) ** 2
+    if np.any(s2 < 1e-28):
+        raise SingularityError("Green function evaluated at coincident points")
+    return dx, dy, s2
+
+
 def _green_raw(dx, dy, terms=_GREEN_SERIES_TERMS):
     """Green function from wrapped displacements (no singularity guard)."""
     s2 = np.sin(np.pi * dx) ** 2 + np.sinh(np.pi * dy) ** 2
@@ -60,12 +74,7 @@ def periodic_green_kernel(x, y=None, terms=_GREEN_SERIES_TERMS):
     1e-12 everywhere.  Accepts points or arrays; y may be omitted when x
     already holds displacements.
     """
-    z = np.asarray(x, dtype=float) if y is None else np.asarray(x, float) - np.asarray(y, float)
-    dx = _wrap_half(z[..., 0])
-    dy = _wrap_half(z[..., 1])
-    s2 = np.sin(np.pi * dx) ** 2 + np.sinh(np.pi * dy) ** 2
-    if np.any(s2 < 1e-28):
-        raise SingularityError("Green kernel evaluated at coincident points")
+    dx, dy, _ = _separation(x, y)
     return _green_raw(dx, dy, terms=terms)
 
 
@@ -80,12 +89,7 @@ def green_regular_origin(terms=_GREEN_SERIES_TERMS):
 
 def periodic_green_gradient(x, y=None, terms=_GREEN_SERIES_TERMS):
     """Gradient of G with respect to its first argument."""
-    z = np.asarray(x, dtype=float) if y is None else np.asarray(x, float) - np.asarray(y, float)
-    dx = _wrap_half(z[..., 0])
-    dy = _wrap_half(z[..., 1])
-    s2 = np.sin(np.pi * dx) ** 2 + np.sinh(np.pi * dy) ** 2
-    if np.any(s2 < 1e-28):
-        raise SingularityError("Green gradient evaluated at coincident points")
+    dx, dy, s2 = _separation(x, y)
     gx = -np.sin(2.0 * np.pi * dx) / (4.0 * s2)
     gy = -np.sinh(2.0 * np.pi * dy) / (4.0 * s2) + dy
     u = np.abs(dy)
@@ -140,9 +144,8 @@ def assemble_single_layer(curve):
     slices = curve.loop_slices()
     n_tot = curve.n_markers
     kernel = np.zeros((n_tot, n_tot))
-    pts = curve.markers()
     r0 = green_regular_origin()
-    for li, (lp, sl) in enumerate(zip(curve.components, slices)):
+    for lp, sl in zip(curve.components, slices):
         n = lp.n
         t = 2.0 * np.pi * np.arange(n) / n
         dt = t[:, None] - t[None, :]
@@ -275,29 +278,23 @@ def solve_jump(curve, g, operator=None, cond_limit=1e12, check_condition=True):
     )
 
 
-def ms_boundary_data(curve, gamma, grid_n=256, trace=None):
-    """g = H + 4 gamma v_E at the markers (the Dirichlet datum of the flow)."""
+def ms_boundary_data(curve, gamma, grid_n=256):
+    """(g, trace) with g = H + 4 gamma v_E at the markers, the Dirichlet datum of
+    the MS flow; trace is the v_E trace, None at gamma = 0.  The flow and the
+    criticality residual take the datum from here."""
     kap = curvature(curve).values
     if gamma == 0.0:
         return CurveSamples(kap, kind="boundary-data"), None
-    if trace is None:
-        _, trace = potential_of_set(curve, n=grid_n)
-    return (
-        CurveSamples(kap + 4.0 * gamma * trace.boundary_values.values, kind="boundary-data"),
-        trace,
-    )
+    _, trace = potential_of_set(curve, n=grid_n)
+    g = kap + 4.0 * gamma * trace.boundary_values.values
+    return CurveSamples(g, kind="boundary-data"), trace
 
 
 def ms_normal_velocity(curve, gamma=0.0, grid_n=256, operator=None):
     """Mullins-Sekerka normal velocity V = [d_nu w] with w = H + 4 gamma v_E on the curve."""
-    g, trace = ms_boundary_data(curve, gamma, grid_n=grid_n)
+    g, _ = ms_boundary_data(curve, gamma, grid_n=grid_n)
     sol = solve_jump(curve, g, operator=operator)
     return CurveSamples(sol.jump.values, kind="velocity"), sol
-
-
-def dissipation_ms(solution):
-    """Dissipation int |Dw|^2 of a solved jump problem."""
-    return solution.dissipation()
 
 
 def write_jump_csv(solution, path):

@@ -41,7 +41,7 @@ n_markers = 256
 kind = sd
 gamma = 0.0
 t_end = 1e-3
-scheme = rk4
+scheme = ssd
 c_cfl =
 dt =
 max_steps = 1000000
@@ -74,9 +74,6 @@ formats = csv,json,svg
 key =
 values =
 workers = 2
-
-[run]
-seed = 0
 """
 
 

@@ -158,7 +158,7 @@ def verify_first_identity(trace, floor=1e-14):
 
 def _ms_dissipation_of(curve, gamma, grid_n):
     _, sol = bie.ms_normal_velocity(curve, gamma, grid_n=grid_n)
-    return sol.dissipation(), sol
+    return sol.dissipation()
 
 
 def _sd_dissipation_of(curve):
@@ -193,8 +193,8 @@ def verify_second_identity_ms(curve, gamma=0.0, dt=None, grid_n=256, fd_scale=5e
     floor = 1e-14 * max(1.0, abs(D0))
     if dt is None:
         dt = fd_scale * max(D0, floor) / max(abs(rhs), floor / fd_scale)
-    dp = _ms_dissipation_of(_advance(curve, jump, +dt), gamma, grid_n)[0]
-    dm = _ms_dissipation_of(_advance(curve, jump, -dt), gamma, grid_n)[0]
+    dp = _ms_dissipation_of(_advance(curve, jump, +dt), gamma, grid_n)
+    dm = _ms_dissipation_of(_advance(curve, jump, -dt), gamma, grid_n)
     lhs = 0.5 * (dp - dm) / (2.0 * dt)
     res, _ = criticality_residual(curve, gamma, grid_n=grid_n)
     return IdentityReport(

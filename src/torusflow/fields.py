@@ -16,7 +16,14 @@ from scipy.spatial import cKDTree
 from scipy.special import erf
 
 from .errors import ResolutionError
-from .geometry import CurveSamples, PeriodicCurve, integrate_ds, perimeter
+from .geometry import (
+    CurveSamples,
+    PeriodicCurve,
+    _all_segments,
+    integrate_ds,
+    perimeter,
+    signed_distance_points,
+)
 
 log = logging.getLogger(__name__)
 
@@ -116,15 +123,6 @@ def dirichlet_energy(field):
     return float(np.sum(k2 * np.abs(c) ** 2))
 
 
-def spectral_pairing(field_a, field_b):
-    """Integral of D v_a . D v_b (polarization of the Dirichlet energy)."""
-    n = field_a.n
-    _, _, k2 = _wavenumbers(n)
-    ca = np.fft.fft2(field_a.values) / n**2
-    cb = np.fft.fft2(field_b.values) / n**2
-    return float(np.sum(k2 * (ca * np.conj(cb)).real))
-
-
 def gradient(field):
     kx, ky, _ = _wavenumbers(field.n)
     fh = np.fft.fft2(field.values)
@@ -136,19 +134,10 @@ def gradient(field):
 # -- rasterization -------------------------------------------------------------
 
 
-def _segments_with_closure(curve):
-    a, b = [], []
-    for lp in curve.components:
-        nxt = np.vstack([lp.lift[1:], lp.lift[:1] + lp.winding])
-        a.append(lp.lift)
-        b.append(nxt)
-    return np.vstack(a), np.vstack(b)
-
-
 def _crossing_fill(curve, n):
     """Exact +-1 sign grid by line-crossing parity; column pass, then row pass
     for columns the first pass cannot resolve (e.g. axis-parallel lamellae)."""
-    a, b = _segments_with_closure(curve)
+    a, b = _all_segments(curve)
     sign = np.zeros((n, n))
 
     def ceil_idx(x):
@@ -221,8 +210,6 @@ def _crossing_fill(curve, n):
         else:
             probe_cols.append(c)
     if probe_cols:
-        from .geometry import signed_distance_points
-
         probe_cols = np.asarray(probe_cols)
         reps = np.column_stack(
             [probe_cols / n, np.full(probe_cols.size, 0.236067977)]
@@ -236,7 +223,7 @@ def _crossing_fill(curve, n):
 
 def _band_nodes(curve, n, cutoff):
     """Flat indices of grid nodes within `cutoff` of any segment bounding box."""
-    a, b = _segments_with_closure(curve)
+    a, b = _all_segments(curve)
     mask = np.zeros((n, n), dtype=bool)
     pad = cutoff
     for s in range(a.shape[0]):
@@ -253,7 +240,7 @@ def _band_distances(curve, n, cutoff):
     idx = _band_nodes(curve, n, cutoff)
     if idx.size == 0:
         return idx, np.empty(0)
-    a, b = _segments_with_closure(curve)
+    a, b = _all_segments(curve)
     mids = 0.5 * (a + b)
     shifts = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
     imgs = (mids[None, :, :] + shifts[:, None, :]).reshape(-1, 2)

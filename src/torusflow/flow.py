@@ -28,15 +28,16 @@ import numpy as np
 from . import bie
 from .diagnostics import EnergyTrace
 from .errors import GraphFailure, ResolutionError, TopologyError
-from .fields import dirichlet_energy, potential_of_set
+from .fields import dirichlet_energy
 from .geometry import (
-    CurveSamples,
     MarkerLoop,
     PeriodicCurve,
     _modes,
+    _spectral_antiderivative_coeffs,
     _spectral_derivative_coeffs,
     arclength_derivative,
     curvature,
+    displace,
     enclosed_area,
     height_function,
     integrate_ds,
@@ -113,35 +114,26 @@ class StoppingMonitor:
             raise ValueError("monitor thresholds must be positive")
 
 
-def sd_normal_velocity(state):
-    """V = Lap_tau H; zero mean per loop, so the flow is volume preserving."""
-    kap = curvature(state.curve)
-    return CurveSamples(surface_laplacian(state.curve, kap).values, kind="velocity")
-
-
 def _evaluate(state, curve=None):
-    """Velocity plus energy bookkeeping at a curve (defaults to the state's)."""
+    """Velocity plus energy bookkeeping at a curve (defaults to the state's).
+
+    The nonlocal energy is read only by the trace record of the state's own
+    curve, so the stage curves of a step (passed as `curve`) skip it and keep
+    no grid potential alive.
+    """
     c = state.curve if curve is None else curve
     if state.flow_kind == "sd":
+        # V = Lap_tau H has zero mean per loop, so the flow is volume preserving
         kap = curvature(c)
         V = surface_laplacian(c, kap).values
         dk = arclength_derivative(c, kap).values
         return {"V": V, "dissipation": integrate_ds(c, dk**2), "nonlocal": 0.0}
-    kap = curvature(c).values
-    nl = 0.0
-    if state.gamma != 0.0:
-        v, trace = potential_of_set(c, n=state.params.grid_n)
-        nl = state.gamma * dirichlet_energy(v)
-        g = kap + 4.0 * state.gamma * trace.boundary_values.values
-    else:
-        g = kap
-    sol = bie.solve_jump(c, CurveSamples(g, kind="boundary-data"))
-    return {
-        "V": sol.jump.values.copy(),
-        "dissipation": sol.dissipation(),
-        "nonlocal": nl,
-        "jump_solution": sol,
-    }
+    g, trace = bie.ms_boundary_data(c, state.gamma, grid_n=state.params.grid_n)
+    sol = bie.solve_jump(c, g)
+    ev = {"V": sol.jump.values.copy(), "dissipation": sol.dissipation()}
+    if curve is None:
+        ev["nonlocal"] = 0.0 if trace is None else state.gamma * dirichlet_energy(trace.potential)
+    return ev
 
 
 def adaptive_dt(state, vmax=None):
@@ -180,24 +172,11 @@ def enforce_volume(state):
     delta = float(np.clip((state.target_area - a) / per, -0.25 * h, 0.25 * h))
     if delta == 0.0:
         return state, 0.0
-    nus = state.curve.normals()
-    loops = [
-        MarkerLoop(lp.lift + delta * nus[sl], lp.winding)
-        for lp, sl in zip(state.curve.components, state.curve.loop_slices())
-    ]
-    newc = PeriodicCurve(loops, check=False)
+    newc = displace(state.curve, delta * state.curve.normals())
     return replace(state, curve=newc, cached={}), delta
 
 
 # -- RK4 ------------------------------------------------------------------------
-
-
-def _displace(curve, disp):
-    loops = [
-        MarkerLoop(lp.lift + disp[sl], lp.winding)
-        for lp, sl in zip(curve.components, curve.loop_slices())
-    ]
-    return PeriodicCurve(loops, check=False)
 
 
 def _rk4_step(state, dt):
@@ -206,13 +185,13 @@ def _rk4_step(state, dt):
     if ev1 is None:
         ev1 = _evaluate(state)
     k1 = ev1["V"][:, None] * c0.normals()
-    c2 = _displace(c0, 0.5 * dt * k1)
+    c2 = displace(c0, 0.5 * dt * k1)
     k2 = _evaluate(state, c2)["V"][:, None] * c2.normals()
-    c3 = _displace(c0, 0.5 * dt * k2)
+    c3 = displace(c0, 0.5 * dt * k2)
     k3 = _evaluate(state, c3)["V"][:, None] * c3.normals()
-    c4 = _displace(c0, dt * k3)
+    c4 = displace(c0, dt * k3)
     k4 = _evaluate(state, c4)["V"][:, None] * c4.normals()
-    return _displace(c0, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return displace(c0, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 # -- SSD (tangent angle / length form) --------------------------------------------
@@ -239,21 +218,6 @@ def _extract_theta(curve):
     return out
 
 
-def _antiderivative(values):
-    """Spectral antiderivative of the zero-mean part, nodal values."""
-    n = values.shape[0]
-    ch = np.fft.fft(values, axis=0) / n
-    k = _modes(n)
-    anti = np.zeros_like(ch)
-    nz = k != 0
-    kk = k[nz]
-    if ch.ndim == 2:
-        anti[nz] = ch[nz] / (1j * kk)[:, None]
-    else:
-        anti[nz] = ch[nz] / (1j * kk)
-    return np.fft.ifft(anti * n, axis=0).real
-
-
 def _reconstruct(loopdata):
     loops = []
     for ld in loopdata:
@@ -262,7 +226,8 @@ def _reconstruct(loopdata):
         theta = ld["dev"] + ld["turn"] * alpha
         tau = np.column_stack([np.cos(theta), np.sin(theta)])
         mean_tau = tau.mean(axis=0)
-        x = (ld["L"] / (2.0 * np.pi)) * (_antiderivative(tau) + np.outer(alpha, mean_tau))
+        anti = np.fft.ifft(_spectral_antiderivative_coeffs(np.fft.fft(tau, axis=0)), axis=0).real
+        x = (ld["L"] / (2.0 * np.pi)) * (anti + np.outer(alpha, mean_tau))
         # distribute the closure defect linearly so x(2pi) - x(0) = winding exactly
         defect = ld["L"] * mean_tau - ld["winding"]
         x -= np.outer(alpha / (2.0 * np.pi), defect)
@@ -285,8 +250,7 @@ def _ssd_linear_halfstep(loopdata, flow_kind, dt):
 def _ssd_rhs(state, loopdata):
     """Remainder dynamics of (theta_dev, L, mean) after subtracting the symbol."""
     curve = _reconstruct(loopdata)
-    ev = _evaluate(state, curve)
-    V = ev["V"]
+    V = _evaluate(state, curve)["V"]
     out = []
     for ld, sl in zip(loopdata, curve.loop_slices()):
         n = ld["n"]
@@ -300,7 +264,8 @@ def _ssd_rhs(state, loopdata):
         )
         integrand = theta_a * v
         mean_i = float(integrand.mean())
-        T = -_antiderivative(integrand)  # dT/dalpha = -(theta_a v - mean)
+        # dT/dalpha = -(theta_a v - mean)
+        T = -np.fft.ifft(_spectral_antiderivative_coeffs(np.fft.fft(integrand))).real
         va = np.fft.ifft(_spectral_derivative_coeffs(np.fft.fft(v), 1)).real
         theta_t = (-va + T * theta_a) / s_alpha
         lam = _ssd_symbol(state.flow_kind, ld["L"], n)
@@ -315,7 +280,7 @@ def _ssd_rhs(state, loopdata):
                 "mean_dot": mean_dot,
             }
         )
-    return out, ev
+    return out
 
 
 def _ssd_apply(loopdata, rhs, dt):
@@ -333,9 +298,9 @@ def _ssd_apply(loopdata, rhs, dt):
 def _ssd_step(state, dt):
     loopdata = _extract_theta(state.curve)
     _ssd_linear_halfstep(loopdata, state.flow_kind, dt)
-    rhs_a, _ = _ssd_rhs(state, loopdata)
+    rhs_a = _ssd_rhs(state, loopdata)
     mid = _ssd_apply(loopdata, rhs_a, 0.5 * dt)
-    rhs_m, _ = _ssd_rhs(state, mid)
+    rhs_m = _ssd_rhs(state, mid)
     loopdata = _ssd_apply(loopdata, rhs_m, dt)
     _ssd_linear_halfstep(loopdata, state.flow_kind, dt)
     return _reconstruct(loopdata)

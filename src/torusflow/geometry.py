@@ -50,6 +50,12 @@ def _spectral_derivative_coeffs(coeffs, order):
     return coeffs * fac.reshape(-1, *([1] * (coeffs.ndim - 1)))
 
 
+def _spectral_antiderivative_coeffs(coeffs):
+    """Integrate FFT coefficients of the zero-mean part; the mean mode is zeroed."""
+    k = _modes(coeffs.shape[0]).reshape(-1, *([1] * (coeffs.ndim - 1)))
+    return np.divide(coeffs, 1j * k, out=np.zeros_like(coeffs), where=k != 0)
+
+
 class MarkerLoop:
     """One closed marker loop, stored as a lift in R^2 plus a winding vector."""
 
@@ -152,13 +158,8 @@ class MarkerLoop:
 
     def arclength(self):
         """Cumulative arclength s(alpha_j), s(0) = 0, spectrally integrated."""
-        sp = self.speed()
-        c = np.fft.fft(sp) / self.n
-        k = _modes(self.n)
-        anti = np.zeros_like(c)
-        nz = k != 0
-        anti[nz] = c[nz] / (1j * k[nz])
-        osc = np.fft.ifft(anti * self.n).real
+        c = np.fft.fft(self.speed()) / self.n
+        osc = np.fft.ifft(_spectral_antiderivative_coeffs(c) * self.n).real
         alpha = 2.0 * np.pi * np.arange(self.n) / self.n
         return c[0].real * alpha + (osc - osc[0])
 
@@ -272,15 +273,10 @@ class PeriodicCurve:
         enclosed_area(self, check=probe_area)  # OrientationError on inconsistency
 
     def _check_intersections(self):
-        a0, a1, loop_id, idx = [], [], [], []
-        for li, lp in enumerate(self.components):
-            nxt = np.vstack([lp.lift[1:], lp.lift[:1] + lp.winding])
-            a0.append(lp.lift)
-            a1.append(nxt)
-            loop_id.append(np.full(lp.n, li))
-            idx.append(np.arange(lp.n))
-        a0, a1 = np.vstack(a0), np.vstack(a1)
-        loop_id, idx = np.concatenate(loop_id), np.concatenate(idx)
+        a0, a1 = _all_segments(self)
+        sizes = [lp.n for lp in self.components]
+        loop_id = np.repeat(np.arange(len(sizes)), sizes)
+        idx = np.concatenate([np.arange(n) for n in sizes])
         nseg = a0.shape[0]
         if nseg > 4096:
             raise ResolutionError("intersection test beyond desk scale")
@@ -294,7 +290,7 @@ class PeriodicCurve:
         close = np.linalg.norm(delta - shift, axis=1) <= radii[ii] + radii[jj] + 1e-12
         ii, jj, shift = ii[close], jj[close], shift[close]
         same = loop_id[ii] == loop_id[jj]
-        nloc = np.array([self.components[l].n for l in loop_id])
+        nloc = np.asarray(sizes)[loop_id]
         adjacent = (
             same
             & (np.all(shift == 0.0, axis=1))
@@ -360,8 +356,7 @@ def _resample_once(curve, n_per_loop):
         # Newton refinement of s(alpha) = target with spectral evaluations
         sp_c = np.fft.fft(lp.speed()) / lp.n
         k = _modes(lp.n)
-        anti = np.zeros_like(sp_c)
-        anti[k != 0] = sp_c[k != 0] / (1j * k[k != 0])
+        anti = _spectral_antiderivative_coeffs(sp_c)
         osc0 = np.sum(anti).real
 
         for _ in range(8):
@@ -498,12 +493,8 @@ def _polygon_area_scanline(curve, y0=0.34078604706783, x0=0.21370586327156):
 
 def _polygon_shoelace_lift(curve):
     """Mixed shoelace of the marker polygon on the lift (chord areas)."""
-    out = 0.0
-    for lp in curve.components:
-        p = lp.lift
-        q = np.vstack([p[1:], p[:1] + lp.winding])
-        out += 0.5 * float(np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))
-    return out
+    a, b = _all_segments(curve)
+    return 0.5 * float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
 
 
 def enclosed_area(curve, check=False, n_probe=24):
@@ -531,12 +522,20 @@ def enclosed_area(curve, check=False, n_probe=24):
 
 
 def _all_segments(curve):
-    segs_a, segs_b, nus = [], [], []
-    for lp in curve.components:
-        nxt = np.vstack([lp.lift[1:], lp.lift[:1] + lp.winding])
-        segs_a.append(lp.lift)
-        segs_b.append(nxt)
-    return np.vstack(segs_a), np.vstack(segs_b)
+    """(start, end) of every closed-polygon segment on the lifts, loop after loop."""
+    ends = [np.vstack([lp.lift[1:], lp.lift[:1] + lp.winding]) for lp in curve.components]
+    return curve.lifts(), np.vstack(ends)
+
+
+def displace(curve, disp):
+    """Move every marker by its row of the (markers x 2) array `disp`; unvalidated."""
+    return PeriodicCurve(
+        [
+            MarkerLoop(lp.lift + disp[sl], lp.winding)
+            for lp, sl in zip(curve.components, curve.loop_slices())
+        ],
+        check=False,
+    )
 
 
 def signed_distance_points(curve, points, chunk=4096):

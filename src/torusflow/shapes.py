@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import MarkerLoop, PeriodicCurve, resample_equal_arclength
+from .geometry import MarkerLoop, PeriodicCurve, displace, resample_equal_arclength
 
 
 def circle(r, center=(0.5, 0.5), n=256, phase="inside"):
@@ -30,10 +30,6 @@ def ellipse(a, b, center=(0.5, 0.5), n=256):
     return resample_equal_arclength(PeriodicCurve([MarkerLoop(pts, (0, 0))]), n)
 
 
-def _line_loop(points, winding):
-    return MarkerLoop(points, winding)
-
-
 def strip(h, offset=0.0, angle=0, n=256):
     """Lamellar strip of phase fraction h with interfaces at the given angle.
 
@@ -46,21 +42,15 @@ def strip(h, offset=0.0, angle=0, n=256):
     if angle == 0:
         lower = np.column_stack([t, np.full(n, offset)])
         upper = np.column_stack([1.0 - t, np.full(n, offset + h)])
-        return PeriodicCurve(
-            [_line_loop(lower, (1, 0)), _line_loop(upper, (-1, 0))]
-        )
+        return PeriodicCurve([MarkerLoop(lower, (1, 0)), MarkerLoop(upper, (-1, 0))])
     if angle == 90:
         left = np.column_stack([np.full(n, offset), 1.0 - t])
         right = np.column_stack([np.full(n, offset + h), t])
-        return PeriodicCurve(
-            [_line_loop(left, (0, -1)), _line_loop(right, (0, 1))]
-        )
+        return PeriodicCurve([MarkerLoop(left, (0, -1)), MarkerLoop(right, (0, 1))])
     if angle == 45:
         lower = np.column_stack([t, t + offset])
         upper = np.column_stack([1.0 - t, 1.0 - t + offset + h])
-        return PeriodicCurve(
-            [_line_loop(lower, (1, 1)), _line_loop(upper, (-1, -1))]
-        )
+        return PeriodicCurve([MarkerLoop(lower, (1, 1)), MarkerLoop(upper, (-1, -1))])
     raise ConfigError("strip angle must be one of 0, 90, 45")
 
 
@@ -73,9 +63,9 @@ def lamella(k, h=0.5, n_per_loop=64, offset=0.0):
     for j in range(k):
         y0 = offset + j / k
         y1 = y0 + h / k
-        loops.append(_line_loop(np.column_stack([t, np.full(n_per_loop, y0 % 1.0)]), (1, 0)))
+        loops.append(MarkerLoop(np.column_stack([t, np.full(n_per_loop, y0 % 1.0)]), (1, 0)))
         loops.append(
-            _line_loop(np.column_stack([1.0 - t, np.full(n_per_loop, y1 % 1.0)]), (-1, 0))
+            MarkerLoop(np.column_stack([1.0 - t, np.full(n_per_loop, y1 % 1.0)]), (-1, 0))
         )
     return PeriodicCurve(loops)
 
@@ -83,11 +73,9 @@ def lamella(k, h=0.5, n_per_loop=64, offset=0.0):
 def graph_over(reference, heights):
     """Displace every marker of `reference` by `heights` along its outer normal."""
     vals = reference.require_samples(heights)
-    nus = reference.normals()
-    loops = []
-    for lp, sl in zip(reference.components, reference.loop_slices()):
-        loops.append(MarkerLoop(lp.lift + vals[sl, None] * nus[sl], lp.winding))
-    return PeriodicCurve(loops)
+    out = displace(reference, vals[:, None] * reference.normals())
+    out.validate()
+    return out
 
 
 def perturbed_circle(r, eps, mode, center=(0.5, 0.5), n=256):

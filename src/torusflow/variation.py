@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
+from .bie import assemble_single_layer, ms_boundary_data, potential_normal_derivative
 from .fields import (
     _wavenumbers,
     dirichlet_energy,
@@ -43,12 +44,9 @@ def criticality_residual(curve, gamma, grid_n=256):
     Returns (residual samples, lambda); the caller judges closeness to
     criticality from the reported sup and L2 norms.
     """
-    kap = curvature(curve).values
-    if gamma != 0.0:
-        _, trace = potential_of_set(curve, n=grid_n)
-        kap = kap + 4.0 * gamma * trace.boundary_values.values
-    lam = integrate_ds(curve, kap) / perimeter(curve)
-    return CurveSamples(kap - lam, kind="boundary-data"), float(lam)
+    g = ms_boundary_data(curve, gamma, grid_n=grid_n)[0].values
+    lam = integrate_ds(curve, g) / perimeter(curve)
+    return CurveSamples(g - lam, kind="boundary-data"), float(lam)
 
 
 def translation_basis(curve, rel_tol=1e-10):
@@ -175,8 +173,6 @@ def assemble_second_variation(
         )
         warnings.warn(warning)
     if method == "kress":
-        from .bie import assemble_single_layer, potential_normal_derivative
-
         op = assemble_single_layer(curve)
         dnv = potential_normal_derivative(curve, op).values
         WB = w[:, None] * B
@@ -303,8 +299,6 @@ def second_variation_direct(curve, gamma, phi, grid_n=256, operator=None):
     out = float(np.sum(w * dphi**2) - np.sum(w * kap**2 * vals**2))
     if gamma != 0.0:
         if operator is not None:
-            from .bie import potential_normal_derivative
-
             nl = operator.quadratic_form(vals)
             dnv = potential_normal_derivative(curve, operator).values
         else:

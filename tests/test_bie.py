@@ -8,7 +8,6 @@ import oracles
 from torusflow import shapes
 from torusflow.bie import (
     assemble_single_layer,
-    dissipation_ms,
     green_regular_origin,
     ms_normal_velocity,
     periodic_green_kernel,
@@ -155,7 +154,7 @@ def test_circle_stationary_at_gamma_zero(circle_op):
     c, _ = circle_op
     V, sol = ms_normal_velocity(c, 0.0)
     assert np.abs(V.values).max() < 1e-8
-    assert dissipation_ms(sol) < 1e-12
+    assert sol.dissipation() < 1e-12
 
 
 def test_strip_fourier_oracle():
@@ -237,7 +236,7 @@ def test_dissipation_quadratic_in_eps():
     for eps in (2e-4, 1e-4):
         st = shapes.perturbed_strip(0.5, eps, 1, n=128)
         _, sol = ms_normal_velocity(st, 0.0)
-        vals.append(dissipation_ms(sol))
+        vals.append(sol.dissipation())
     assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.05)
 
 

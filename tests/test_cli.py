@@ -94,6 +94,12 @@ def test_simulate_end_to_end(tmp_path):
     assert (tmp_path / f"dissipation_{h}.svg").exists()
 
 
+def test_default_scenario_completes(tmp_path, capsys):
+    # the package defaults alone (SSD, circle, SD, t_end=1e-3) must finish
+    assert main(["simulate", "-o", f"output.dir={tmp_path}"]) == 0
+    assert json.loads(capsys.readouterr().out)["event"] == "completed"
+
+
 def test_simulate_reports_stopping_event(tmp_path):
     body = SD_RUN.format(out=tmp_path) + "\n[monitor]\neps0 = 1e-9\ndelta0 = 1e9\n"
     path = write_ini(tmp_path, body)

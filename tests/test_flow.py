@@ -15,7 +15,6 @@ from torusflow.flow import (
     enforce_volume,
     make_state,
     run,
-    sd_normal_velocity,
     step,
 )
 from torusflow.geometry import enclosed_area, height_function
@@ -23,7 +22,7 @@ from torusflow.geometry import enclosed_area, height_function
 
 def test_stationary_circle_sd():
     st = make_state(shapes.circle(0.2, n=256), "sd")
-    assert np.abs(sd_normal_velocity(st).values).max() < 1e-6
+    assert np.abs(_evaluate(st)["V"]).max() < 1e-6
 
 
 def test_stationary_lamella_both():
@@ -40,14 +39,14 @@ def test_sd_gamma_forced_zero():
 def test_sd_linearized_velocity():
     eps, k = 1e-4, 2
     p = shapes.perturbed_strip(0.5, eps, k, n=256)
-    V = sd_normal_velocity(make_state(p, "sd"))
+    V = _evaluate(make_state(p, "sd"))["V"]
     x = p.markers()[:, 0]
     sl = p.loop_slices()
-    amp = 2 * np.mean(V.values[sl[1]] * np.sin(2 * np.pi * k * x[sl[1]]))
+    amp = 2 * np.mean(V[sl[1]] * np.sin(2 * np.pi * k * x[sl[1]]))
     assert amp == pytest.approx(-oracles.sd_flat_rate(k) * eps, rel=1e-2)
     from torusflow.geometry import integrate_ds
 
-    assert abs(integrate_ds(p, V.values)) < 1e-8 * np.abs(V.values).max()
+    assert abs(integrate_ds(p, V)) < 1e-8 * np.abs(V).max()
 
 
 def test_adaptive_dt_scaling():
@@ -153,6 +152,21 @@ def test_run_ms_gamma_positive_monotone():
     assert res.event == "completed"
     assert np.all(np.diff(J) <= 1e-9 * np.abs(J[:-1]))
     assert res.trace.column("nonlocal")[0] > 0
+
+
+def test_nonlocal_energy_only_at_records(monkeypatch):
+    # the SSD stages need only V; the Dirichlet energy is computed once per record
+    import torusflow.flow as flow_mod
+
+    calls = []
+    energy = flow_mod.dirichlet_energy
+    monkeypatch.setattr(flow_mod, "dirichlet_energy", lambda v: calls.append(1) or energy(v))
+    p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
+    params = FlowParams(scheme="ssd", dt=2e-5, grid_n=128)
+    res = run(make_state(p, "ms", gamma=1.0, params=params), t_end=2 * 2e-5)
+    assert res.event == "completed"
+    assert len(res.trace) == 3
+    assert len(calls) == 3
 
 
 def test_run_determinism():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from torusflow import shapes
@@ -281,3 +283,65 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
         np.array_equal(a.winding, b.winding)
         for a, b in zip(c.components, c2.components)
     )
+
+
+# -- invariants (property tests) -------------------------------------------------
+
+SHAPES = st.one_of(
+    st.tuples(
+        st.just("circle"), st.floats(0.05, 0.3), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+    ),
+    st.tuples(
+        st.just("ellipse"), st.floats(0.1, 0.25), st.floats(0.06, 0.2), st.floats(0.0, 1.0)
+    ),
+    st.tuples(
+        st.just("strip"), st.floats(0.1, 0.8), st.floats(0.0, 1.0), st.sampled_from([0, 45, 90])
+    ),
+)
+FEW = settings(max_examples=12, deadline=None)
+
+
+def build(spec, n=64):
+    kind, p, q, r = spec
+    if kind == "circle":
+        return shapes.circle(p, center=(q, r), n=n)
+    if kind == "ellipse":
+        return shapes.ellipse(p, q, center=(r, 0.5), n=n)
+    return shapes.strip(p, offset=q, angle=r, n=n)
+
+
+def rolled(lp, r):
+    """The same loop with the marker index started at r (the lift stays continuous)."""
+    return MarkerLoop(np.vstack([lp.lift[r:], lp.lift[:r] + lp.winding]), lp.winding)
+
+
+@FEW
+@given(SHAPES, st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 63))
+def test_area_perimeter_invariant_under_translation_and_roll(spec, i, j, r):
+    c = build(spec)
+    area, per = enclosed_area(c), perimeter(c)
+    moved = PeriodicCurve([MarkerLoop(lp.lift + (i, j), lp.winding) for lp in c.components])
+    turned = PeriodicCurve([rolled(lp, r) for lp in c.components])
+    for other in (moved, turned):
+        assert enclosed_area(other) == pytest.approx(area, abs=1e-12)
+        assert perimeter(other) == pytest.approx(per, rel=1e-12)
+
+
+@FEW
+@given(SHAPES)
+def test_complement_phase_has_area_one_minus_a(spec):
+    c = build(spec)
+    # reversing every loop puts the phase on the other side of the same interface
+    comp = PeriodicCurve([MarkerLoop(lp.lift[::-1], -lp.winding) for lp in c.components])
+    assert enclosed_area(comp) == pytest.approx(1.0 - enclosed_area(c), abs=1e-12)
+    if spec[0] == "circle":
+        out = shapes.circle(spec[1], center=spec[2:], n=64, phase="outside")
+        assert enclosed_area(out) == pytest.approx(1.0 - enclosed_area(c), abs=1e-12)
+
+
+@FEW
+@given(SHAPES, st.integers(64, 160))
+def test_resample_preserves_area_property(spec, n_new):
+    c = build(spec)
+    out = resample_equal_arclength(c, n_new)
+    assert enclosed_area(out) == pytest.approx(enclosed_area(c), abs=1e-10)
