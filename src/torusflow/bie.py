@@ -16,6 +16,7 @@ resulting normal velocity makes a perturbed disk relax back to the disk.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ from .fields import potential_of_set
 from .geometry import CurveSamples, curvature, integrate_ds
 
 _GREEN_SERIES_TERMS = 12
+# C_m = 1 / ((1 - e^(-2 pi m)) 2 pi m), m = 1.._GREEN_SERIES_TERMS: the Fourier
+# coefficients of the periodic correction to the cylinder kernel.
+_SERIES_M = np.arange(1, _GREEN_SERIES_TERMS + 1)
+_SERIES_COEF = 1.0 / ((1.0 - np.exp(-2.0 * np.pi * _SERIES_M)) * (2.0 * np.pi * _SERIES_M))
 
 
 def _wrap_half(z):
@@ -42,31 +47,54 @@ def _separation(x, y):
 
     Raises SingularityError where the points coincide on the torus.
     """
-    z = np.asarray(x, dtype=float) if y is None else np.asarray(x, float) - np.asarray(y, float)
-    dx = _wrap_half(z[..., 0])
-    dy = _wrap_half(z[..., 1])
+    x = np.asarray(x, dtype=float)
+    dx, dy = x[..., 0], x[..., 1]
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        dx, dy = dx - y[..., 0], dy - y[..., 1]
+    dx, dy = _wrap_half(dx), _wrap_half(dy)
     s2 = np.sin(np.pi * dx) ** 2 + np.sinh(np.pi * dy) ** 2
     if np.any(s2 < 1e-28):
         raise SingularityError("Green function evaluated at coincident points")
     return dx, dy, s2
 
 
-def _green_raw(dx, dy, terms=_GREEN_SERIES_TERMS):
-    """Green function from wrapped displacements (no singularity guard)."""
-    s2 = np.sin(np.pi * dx) ** 2 + np.sinh(np.pi * dy) ** 2
-    out = -np.log(4.0 * s2, where=s2 > 0, out=np.zeros_like(s2)) / (4.0 * np.pi)
-    out += 0.5 * (dy**2 + 1.0 / 6.0)
+def _modes(dx, dy, terms, sines=False):
+    """Yield (C_m, cos 2 pi m dx, sin 2 pi m dx, e^(-2 pi m (1+|dy|)), e^(-2 pi m (1-|dy|)))
+    for m = 1..terms.
+
+    One cos (and sin) and two exp in all: the harmonics follow the Chebyshev
+    recurrences c_(m+1) = 2 c_1 c_m - c_(m-1) (first kind for cos, second kind
+    for sin) and the exponentials are powers of their m = 1 values.  The sines
+    are None unless requested.
+    """
     u = np.abs(dy)
-    for m in range(1, terms + 1):
-        a = 2.0 * np.pi * m
-        out += np.cos(2.0 * np.pi * m * dx) * (
-            (np.exp(-a * (1.0 + u)) + np.exp(-a * (1.0 - u)))
-            / ((1.0 - np.exp(-a)) * (2.0 * np.pi * m))
-        )
+    c1 = np.cos(2.0 * np.pi * dx)
+    s1 = np.sin(2.0 * np.pi * dx) if sines else None
+    p1 = np.exp(-2.0 * np.pi * (1.0 + u))
+    q1 = np.exp(-2.0 * np.pi * (1.0 - u))
+    two_c1 = 2.0 * c1
+    c_prev, c, s_prev, s, p, q = 1.0, c1, 0.0, s1, p1, q1
+    for m in range(terms):
+        yield _SERIES_COEF[m], c, s, p, q
+        if m + 1 < terms:
+            c_prev, c = c, two_c1 * c - c_prev
+            if sines:
+                s_prev, s = s, two_c1 * s - s_prev
+            p, q = p * p1, q * q1
+
+
+def _green_raw(dx, dy, s2, terms=_GREEN_SERIES_TERMS):
+    """Green function from wrapped displacements and s2 = sin^2 pi dx + sinh^2 pi dy
+    (no singularity guard)."""
+    out = -np.log(4.0 * s2) / (4.0 * np.pi)
+    out += 0.5 * (dy**2 + 1.0 / 6.0)
+    for coef, c, _, p, q in _modes(dx, dy, terms):
+        out += coef * (c * (p + q))
     return out
 
 
-def periodic_green_kernel(x, y=None, terms=_GREEN_SERIES_TERMS):
+def periodic_green_kernel(x, y=None):
     """Green function G(x,y) of -Lap on T^2 with -Lap G = delta - 1, zero mean.
 
     Evaluated through the cylinder kernel -log(4(sin^2 pi dx + sinh^2 pi dy))/4pi
@@ -74,33 +102,25 @@ def periodic_green_kernel(x, y=None, terms=_GREEN_SERIES_TERMS):
     1e-12 everywhere.  Accepts points or arrays; y may be omitted when x
     already holds displacements.
     """
-    dx, dy, _ = _separation(x, y)
-    return _green_raw(dx, dy, terms=terms)
+    return _green_raw(*_separation(x, y))
 
 
-def green_regular_origin(terms=_GREEN_SERIES_TERMS):
+def green_regular_origin():
     """R(0) where R(z) = G(z) + log|z|/(2 pi) is the smooth remainder."""
-    out = -np.log(2.0 * np.pi) / (2.0 * np.pi) + 1.0 / 12.0
-    for m in range(1, terms + 1):
-        a = 2.0 * np.pi * m
-        out += 2.0 * np.exp(-a) / ((1.0 - np.exp(-a)) * (2.0 * np.pi * m))
-    return out
+    tail = 2.0 * np.exp(-2.0 * np.pi * _SERIES_M) * _SERIES_COEF
+    return -np.log(2.0 * np.pi) / (2.0 * np.pi) + 1.0 / 12.0 + float(tail.sum())
 
 
-def periodic_green_gradient(x, y=None, terms=_GREEN_SERIES_TERMS):
+def periodic_green_gradient(x, y=None):
     """Gradient of G with respect to its first argument."""
     dx, dy, s2 = _separation(x, y)
     gx = -np.sin(2.0 * np.pi * dx) / (4.0 * s2)
     gy = -np.sinh(2.0 * np.pi * dy) / (4.0 * s2) + dy
-    u = np.abs(dy)
     sgn = np.sign(dy)
-    for m in range(1, terms + 1):
+    for m, (coef, c, s, p, q) in enumerate(_modes(dx, dy, _GREEN_SERIES_TERMS, sines=True), 1):
         a = 2.0 * np.pi * m
-        den = (1.0 - np.exp(-a)) * (2.0 * np.pi * m)
-        c = (np.exp(-a * (1.0 + u)) + np.exp(-a * (1.0 - u))) / den
-        dc = sgn * a * (-np.exp(-a * (1.0 + u)) + np.exp(-a * (1.0 - u))) / den
-        gx += -2.0 * np.pi * m * np.sin(2.0 * np.pi * m * dx) * c
-        gy += np.cos(2.0 * np.pi * m * dx) * dc
+        gx -= (a * coef) * (s * (p + q))
+        gy += (a * coef) * (c * (sgn * (q - p)))
     return np.stack([gx, gy], axis=-1)
 
 
@@ -114,6 +134,23 @@ def _kress_log_weights(n):
     lam[nz] = -1.0 / np.abs(k[nz])
     # symbol of the periodic log kernel: (1/2pi) int log(4 sin^2(s/2)) e^{-iks} ds
     return 2.0 * np.pi * np.fft.ifft(lam * n).real / n
+
+
+@functools.lru_cache(maxsize=16)
+def _diagonal_block_tables(n):
+    """The parts of a diagonal block that depend only on the loop's n markers,
+    built once per n and read-only: the strict upper triangle (iu, ju) and the
+    n x n table log(4 sin^2((t_i - t_j)/2))/4pi minus the Kress weights."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    dt = t[:, None] - t[None, :]
+    off = ~np.eye(n, dtype=bool)
+    logpart = np.log(4.0 * np.sin(0.5 * dt) ** 2, where=off, out=np.zeros((n, n)))
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    table = (logpart - _kress_log_weights(n)[idx] * (n / (2.0 * np.pi))) / (4.0 * np.pi)
+    iu, ju = np.triu_indices(n, 1)
+    for arr in (iu, ju, table):
+        arr.flags.writeable = False
+    return iu, ju, table
 
 
 @dataclass
@@ -140,40 +177,34 @@ class SingleLayerOperator:
 
 
 def assemble_single_layer(curve):
-    """Dense single-layer matrix with Kress log quadrature on the diagonal blocks."""
+    """Dense single-layer matrix with Kress log quadrature on the diagonal blocks.
+
+    The kernel is symmetric: the Green series runs on the strict upper
+    triangle of each diagonal block and once on each cross block.
+    """
     slices = curve.loop_slices()
-    n_tot = curve.n_markers
-    kernel = np.zeros((n_tot, n_tot))
+    weights = curve.arclength_weights()
+    kernel = np.zeros((curve.n_markers, curve.n_markers))
     r0 = green_regular_origin()
     for lp, sl in zip(curve.components, slices):
         n = lp.n
-        t = 2.0 * np.pi * np.arange(n) / n
-        dt = t[:, None] - t[None, :]
-        off = ~np.eye(n, dtype=bool)
-        logpart = np.log(4.0 * np.sin(0.5 * dt) ** 2, where=off, out=np.zeros((n, n)))
-        z = lp.markers[:, None, :] - lp.markers[None, :, :]
-        dx = _wrap_half(z[..., 0])
-        dy = _wrap_half(z[..., 1])
-        np.fill_diagonal(dx, 0.25)  # dummy separation, diagonal overwritten
-        g_full = _green_raw(dx, dy, terms=_series_terms(np.abs(dy).max()))
-        smooth = g_full + logpart / (4.0 * np.pi)
-        speed = lp.speed()
-        np.fill_diagonal(smooth, -np.log(speed) / (2.0 * np.pi) + r0)
-        ww = _kress_log_weights(n)
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        kress = ww[idx] * (n / (2.0 * np.pi))
-        kernel[sl, sl] = -kress / (4.0 * np.pi) + smooth
+        iu, ju, table = _diagonal_block_tables(n)
+        pts = lp.markers
+        dx, dy, s2 = _separation(np.take(pts, iu, axis=0), np.take(pts, ju, axis=0))
+        g = np.zeros((n, n))
+        g[iu, ju] = _green_raw(dx, dy, s2, terms=_series_terms(np.abs(dy).max()))
+        block = g + g.T + table
+        # R(0) - log|x'|/2pi on the diagonal, with the speed |x'| = n w / 2pi
+        block.flat[:: n + 1] += r0 - np.log(weights[sl] * (n / (2.0 * np.pi))) / (2.0 * np.pi)
+        kernel[sl, sl] = block
     # cross-loop blocks: smooth kernel, plain trapezoid
     for i, (lpi, sli) in enumerate(zip(curve.components, slices)):
-        for j, (lpj, slj) in enumerate(zip(curve.components, slices)):
-            if i >= j:
-                continue
-            block = periodic_green_kernel(
-                lpi.markers[:, None, :] - lpj.markers[None, :, :]
-            )
+        for lpj, slj in zip(curve.components[i + 1:], slices[i + 1:]):
+            dx, dy, s2 = _separation(lpi.markers[:, None, :], lpj.markers[None, :, :])
+            block = _green_raw(dx, dy, s2, terms=_series_terms(np.abs(dy).max()))
             kernel[sli, slj] = block
             kernel[slj, sli] = block.T
-    return SingleLayerOperator(kernel=kernel, weights=curve.arclength_weights())
+    return SingleLayerOperator(kernel=kernel, weights=weights)
 
 
 def potential_normal_derivative(curve, operator=None):
@@ -222,6 +253,7 @@ class JumpSolution:
     jump: CurveSamples  # [d_nu w] = -sigma
     additive_constant: float
     weights: np.ndarray = None
+    rcond: float = np.nan  # gecon reciprocal 1-norm condition estimate; NaN if not checked
     _ks: np.ndarray = None
 
     def _adjoint_apply(self):
@@ -258,6 +290,7 @@ def solve_jump(curve, g, operator=None, cond_limit=1e12, check_condition=True):
     A[n, :n] = op.weights
     rhs = np.concatenate([gv, [0.0]])
     lu, piv = lu_factor(A)
+    rcond = np.nan
     if check_condition:
         gecon = get_lapack_funcs("gecon", (A,))
         rcond = gecon(lu, np.linalg.norm(A, 1))[0]
@@ -275,6 +308,7 @@ def solve_jump(curve, g, operator=None, cond_limit=1e12, check_condition=True):
         jump=CurveSamples(-sigma, kind="velocity"),
         additive_constant=c,
         weights=op.weights,
+        rcond=float(rcond),
     )
 
 

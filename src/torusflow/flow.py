@@ -160,20 +160,20 @@ def adaptive_dt(state, vmax=None):
     return float(dt)
 
 
-def enforce_volume(state):
+def enforce_volume(curve, target_area):
     """One safeguarded Newton step of a uniform normal offset onto the target area.
 
     The derivative of the area with respect to a uniform offset is the
-    perimeter; the offset is clamped to a quarter marker spacing.
+    perimeter; the offset is clamped to a quarter marker spacing.  Returns the
+    corrected curve and the offset.
     """
-    a = enclosed_area(state.curve)
-    per = perimeter(state.curve)
-    h = min(lp.length() / lp.n for lp in state.curve.components)
-    delta = float(np.clip((state.target_area - a) / per, -0.25 * h, 0.25 * h))
+    a = enclosed_area(curve)
+    per = perimeter(curve)
+    h = min(lp.length() / lp.n for lp in curve.components)
+    delta = float(np.clip((target_area - a) / per, -0.25 * h, 0.25 * h))
     if delta == 0.0:
-        return state, 0.0
-    newc = displace(state.curve, delta * state.curve.normals())
-    return replace(state, curve=newc, cached={}), delta
+        return curve, 0.0
+    return displace(curve, delta * curve.normals()), delta
 
 
 # -- RK4 ------------------------------------------------------------------------
@@ -317,10 +317,10 @@ def step(state, dt, scheme=None):
         newc.validate(check_intersections=True, probe_area=False)
     else:
         raise ValueError(f"unknown scheme '{scheme}'")
-    out = replace(state, time=state.time + dt, curve=newc, cached={})
-    out, delta = enforce_volume(out)
-    out.cached["volume_correction"] = delta
-    return out
+    # the stepped state is built from the corrected curve, so its area check
+    # sees the area after the correction
+    newc, delta = enforce_volume(newc, state.target_area)
+    return replace(state, time=state.time + dt, curve=newc, cached={"volume_correction": delta})
 
 
 @dataclass

@@ -7,9 +7,15 @@ from scipy.integrate import quad
 import oracles
 from torusflow import shapes
 from torusflow.bie import (
+    _diagonal_block_tables,
+    _green_raw,
+    _kress_log_weights,
+    _separation,
+    _series_terms,
     assemble_single_layer,
     green_regular_origin,
     ms_normal_velocity,
+    periodic_green_gradient,
     periodic_green_kernel,
     potential_normal_derivative,
     solve_jump,
@@ -36,23 +42,52 @@ def test_green_periodicity_exact():
         assert np.abs(periodic_green_kernel(x + shift, y) - g0).max() < 1e-13
 
 
-def test_green_against_independent_fourier_sum():
+def _fourier_sum_reference(x, y, terms=800):
     # 1D-resummed series: B2(y) + 2 sum_m K_m(y) cos(2 pi m x)
-    def reference(x, y, terms=800):
-        u = abs(y - round(y))
-        out = 0.5 * (u * u - u + 1.0 / 6.0)
-        for m in range(1, terms + 1):
-            a = 2 * np.pi * m
-            km = (np.exp(-a * u) + np.exp(-a * (1 - u))) / ((1 - np.exp(-a)) * 4 * np.pi * m)
-            out += 2 * km * np.cos(2 * np.pi * m * (x - round(x)))
-        return out
+    u = abs(y - round(y))
+    out = 0.5 * (u * u - u + 1.0 / 6.0)
+    for m in range(1, terms + 1):
+        a = 2 * np.pi * m
+        km = (np.exp(-a * u) + np.exp(-a * (1 - u))) / ((1 - np.exp(-a)) * 4 * np.pi * m)
+        out += 2 * km * np.cos(2 * np.pi * m * (x - round(x)))
+    return out
 
+
+def test_green_against_independent_fourier_sum():
     rng = np.random.default_rng(5)
     for _ in range(6):
         p = rng.uniform(-0.5, 0.5, 2)
         if abs(p[1]) < 0.05:
             p[1] += 0.1
-        assert abs(periodic_green_kernel(p) - reference(*p)) < 1e-12
+        assert abs(periodic_green_kernel(p) - _fourier_sum_reference(*p)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "p",
+    [(0.3, 0.5), (0.3, -0.4999999), (-0.1, 0.49), (0.5, 0.2), (-0.4999999, 0.1),
+     (0.4999, -0.3), (0.5, 0.5), (-0.4999999, -0.4999999)],
+)
+def test_green_raw_series_near_cell_edges(p):
+    # the recurrences for cos(2 pi m dx) and e^(-2 pi m (1 +- u)) with the
+    # assembly's truncation rule, where dx -> +-1/2 and |dy| -> 1/2
+    dx, dy, s2 = _separation(np.array(p), None)
+    val = _green_raw(dx, dy, s2, terms=_series_terms(abs(dy)))
+    assert abs(val - _fourier_sum_reference(*p)) < 1e-13
+
+
+def test_green_gradient_finite_differences():
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-0.5, 0.5, (200, 2))
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.1][:40]
+    h = 1e-5
+    fd = np.stack(
+        [
+            (periodic_green_kernel(pts + h * e) - periodic_green_kernel(pts - h * e)) / (2 * h)
+            for e in np.eye(2)
+        ],
+        axis=-1,
+    )
+    assert np.abs(periodic_green_gradient(pts) - fd).max() < 1e-8
 
 
 def test_green_near_field_regular():
@@ -129,6 +164,49 @@ def test_row_sums_against_adaptive_quadrature(circle_op):
     assert abs(s1[i0] - val) / abs(val) < 1e-8
 
 
+def _reference_single_layer(curve):
+    # cross blocks and off-diagonal entries: the kernel entry by entry; the
+    # diagonal blocks: the Kress formula with its tables built here
+    pts = curve.markers()
+    z = pts[:, None, :] - pts[None, :, :]
+    eye = np.eye(curve.n_markers, dtype=bool)
+    z[eye] = 0.25  # dummy separation, diagonal blocks overwritten below
+    ref = periodic_green_kernel(z)
+    r0 = green_regular_origin()
+    for lp, sl in zip(curve.components, curve.loop_slices()):
+        n = lp.n
+        t = 2 * np.pi * np.arange(n) / n
+        dt = t[:, None] - t[None, :]
+        off = ~np.eye(n, dtype=bool)
+        logpart = np.zeros((n, n))
+        logpart[off] = np.log(4 * np.sin(0.5 * dt[off]) ** 2)
+        smooth = ref[sl, sl] + logpart / (4 * np.pi)
+        np.fill_diagonal(smooth, -np.log(lp.speed()) / (2 * np.pi) + r0)
+        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        kress = _kress_log_weights(n)[idx] * (n / (2 * np.pi))
+        ref[sl, sl] = -kress / (4 * np.pi) + smooth
+    return ref
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [shapes.perturbed_strip(0.3, 0.05, 2, n=96, which="both"), shapes.lamella(3, n_per_loop=64)],
+    ids=["perturbed_strip", "lamella3"],
+)
+def test_single_layer_matches_reference(curve):
+    op = assemble_single_layer(curve)
+    assert np.abs(op.kernel - _reference_single_layer(curve)).max() < 1e-13
+    np.testing.assert_array_equal(op.weights, curve.arclength_weights())
+
+
+def test_diagonal_block_tables_read_only():
+    iu, ju, table = _diagonal_block_tables(96)
+    assert table.shape == (96, 96)
+    for arr in (iu, ju, table):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 def test_refinement_consistency():
     vals = []
     for n in (128, 256):
@@ -148,6 +226,13 @@ def test_constant_data_gives_zero_jump(circle_op):
     sol = solve_jump(c, np.full(c.n_markers, 3.7), operator=op)
     assert np.abs(sol.jump.values).max() < 1e-9
     assert sol.additive_constant == pytest.approx(3.7, abs=1e-9)
+
+
+def test_jump_solution_reports_rcond(circle_op):
+    c, op = circle_op
+    g = np.cos(2 * np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5))
+    assert solve_jump(c, g, operator=op).rcond > 1e-12
+    assert np.isnan(solve_jump(c, g, operator=op, check_condition=False).rcond)
 
 
 def test_circle_stationary_at_gamma_zero(circle_op):

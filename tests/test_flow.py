@@ -72,18 +72,32 @@ def test_adaptive_dt_zero_velocity_cap():
 
 
 def test_enforce_volume():
-    st = make_state(shapes.circle(0.2, n=128), "sd")
-    st2, delta = enforce_volume(st)
+    c = shapes.circle(0.2, n=128)
+    target = enclosed_area(c)
+    _, delta = enforce_volume(c, target)
     assert delta == pytest.approx(0.0, abs=1e-14)
     # shrink the target and check the first-order offset
-    st.target_area -= 1e-5
-    st3, delta3 = enforce_volume(st)
+    target -= 1e-5
+    c3, delta3 = enforce_volume(c, target)
     assert delta3 == pytest.approx(-1e-5 / (0.4 * np.pi), rel=1e-3)
     # one safeguarded Newton step leaves the quadratic remainder ~ delta^2 kappa
-    assert abs(enclosed_area(st3.curve) - st.target_area) < 5e-10
-    st4, delta4 = enforce_volume(st3)
+    assert abs(enclosed_area(c3) - target) < 5e-10
+    c4, delta4 = enforce_volume(c3, target)
     assert abs(delta4) < 1e-9
-    assert abs(enclosed_area(st4.curve) - st.target_area) < 1e-12
+    assert abs(enclosed_area(c4) - target) < 1e-12
+
+
+def test_step_checks_area_after_volume_correction():
+    # the raw SSD step drifts the area by more than area_tol; the stepped state
+    # is built from the volume-corrected curve, so the run completes
+    p = shapes.perturbed_circle(0.2, 0.03, 3, n=64)
+    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-4))
+    res = run(st, t_end=1e-3)
+    assert res.event == "completed"
+    drift = np.abs(res.trace.column("volume_correction")) * res.trace.column("perimeter")
+    assert drift.max() > st.params.area_tol
+    A = res.trace.column("area")
+    assert np.abs(A - A[0]).max() < 1e-8
 
 
 def test_step_zero_velocity_identity():
