@@ -313,15 +313,15 @@ def solve_jump(curve, g, operator=None, cond_limit=1e12, check_condition=True):
 
 
 def ms_boundary_data(curve, gamma, grid_n=256):
-    """(g, trace) with g = H + 4 gamma v_E at the markers, the Dirichlet datum of
-    the MS flow; trace is the v_E trace, None at gamma = 0.  The flow and the
-    criticality residual take the datum from here."""
+    """(g, v) with g = H + 4 gamma v_E at the markers, the Dirichlet datum of
+    the MS flow; v is the grid potential v_E, None at gamma = 0.  The flow and
+    the criticality residual take the datum from here."""
     kap = curvature(curve).values
     if gamma == 0.0:
         return CurveSamples(kap, kind="boundary-data"), None
-    _, trace = potential_of_set(curve, n=grid_n)
-    g = kap + 4.0 * gamma * trace.boundary_values.values
-    return CurveSamples(g, kind="boundary-data"), trace
+    v, trace = potential_of_set(curve, n=grid_n)
+    g = kap + 4.0 * gamma * trace.values
+    return CurveSamples(g, kind="boundary-data"), v
 
 
 def ms_normal_velocity(curve, gamma=0.0, grid_n=256, operator=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bie
-from .fields import dirichlet_energy, potential_of_set, rasterize_indicator
+from .fields import _crossing_fill, dirichlet_energy, potential_of_set
 from .geometry import (
     CurveSamples,
     arclength_derivative,
@@ -185,7 +185,7 @@ def verify_second_identity_ms(curve, gamma=0.0, dt=None, grid_n=256, fd_scale=5e
     sol = bie.solve_jump(curve, g, operator=op)
     D0 = sol.dissipation()
     jump = sol.jump.values
-    q2 = second_variation_direct(curve, gamma, CurveSamples(jump), grid_n=grid_n, operator=op)
+    q2 = second_variation_direct(curve, gamma, CurveSamples(jump), operator=op)
     cubic = 0.5 * integrate_ds(
         curve, (sol.one_sided_plus.values + sol.one_sided_minus.values) * jump**2
     )
@@ -253,8 +253,8 @@ def asymmetry_distance(curve, reference, grid_n=256, d_ref=None):
     """
     if d_ref is None:
         d_ref = signed_distance_grid(reference, grid_n)
-    chi_e = rasterize_indicator(curve, grid_n, smooth=False).values > 0
-    chi_f = rasterize_indicator(reference, grid_n, smooth=False).values > 0
+    chi_e = _crossing_fill(curve, grid_n) > 0
+    chi_f = _crossing_fill(reference, grid_n) > 0
     mask = chi_e != chi_f
     D = float(np.mean(np.abs(d_ref.values) * mask))
     return D, float(np.mean(mask))

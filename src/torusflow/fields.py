@@ -7,25 +7,14 @@ gamma so potentials can be reused across gamma sweeps.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import erf
 
 from .errors import ResolutionError
-from .geometry import (
-    CurveSamples,
-    PeriodicCurve,
-    _all_segments,
-    integrate_ds,
-    perimeter,
-    signed_distance_points,
-)
-
-log = logging.getLogger(__name__)
+from .geometry import CurveSamples, _all_segments, signed_distance_points
 
 
 @dataclass
@@ -51,45 +40,6 @@ class GridField:
     def mean(self):
         return float(self.values.mean())
 
-    # -- flat binary file: 16-byte header (n, zero_mean flag), row-major f64 --
-
-    def to_binary(self, path):
-        with open(path, "wb") as fh:
-            np.array([self.n, int(self.zero_mean)], dtype="<u8").tofile(fh)
-            self.values.astype("<f8").tofile(fh)
-
-    @classmethod
-    def from_binary(cls, path):
-        with open(path, "rb") as fh:
-            head = np.fromfile(fh, dtype="<u8", count=2)
-            n, flag = int(head[0]), bool(head[1])
-            vals = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)
-        return cls(values=vals, zero_mean=flag)
-
-    def to_csv(self, path):
-        np.savetxt(path, self.values, delimiter=",")
-
-
-@dataclass
-class PotentialTrace:
-    """Trace of a grid potential along the curve; the normal derivative is
-    computed from the potential's spectral gradient on first access."""
-
-    potential: GridField
-    curve: PeriodicCurve
-    boundary_values: CurveSamples
-
-    @cached_property
-    def normal_derivative(self):
-        markers = self.curve.markers()
-        nu = self.curve.normals()
-        gx, gy = gradient(self.potential)
-        dnv = (
-            interpolate_grid(gx, markers) * nu[:, 0]
-            + interpolate_grid(gy, markers) * nu[:, 1]
-        )
-        return CurveSamples(dnv, kind="boundary-data")
-
 
 def _wavenumbers(n):
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -109,26 +59,12 @@ def solve_poisson_zero_mean(rhs):
     return GridField(values=np.fft.ifft2(vh).real, zero_mean=True)
 
 
-def neg_laplacian(field):
-    """Spectral -Lap of a grid field (for residual checks)."""
-    _, _, k2 = _wavenumbers(field.n)
-    return GridField(values=np.fft.ifft2(k2 * np.fft.fft2(field.values)).real)
-
-
 def dirichlet_energy(field):
     """Integral of |Dv|^2 over the torus by Parseval."""
     n = field.n
     _, _, k2 = _wavenumbers(n)
     c = np.fft.fft2(field.values) / n**2
     return float(np.sum(k2 * np.abs(c) ** 2))
-
-
-def gradient(field):
-    kx, ky, _ = _wavenumbers(field.n)
-    fh = np.fft.fft2(field.values)
-    gx = np.fft.ifft2(2j * np.pi * kx * fh).real
-    gy = np.fft.ifft2(2j * np.pi * ky * fh).real
-    return gx, gy
 
 
 # -- rasterization -------------------------------------------------------------
@@ -270,17 +206,15 @@ def _band_distances(curve, n, cutoff):
     return idx[keep], d[keep]
 
 
-def rasterize_indicator(curve, n, width=1.5, smooth=True):
+def rasterize_indicator(curve, n, width=1.5):
     """u_E on the grid: +1 inside, -1 outside, erf profile across the interface.
 
     The transition has slope 2/(width*h) at the interface, i.e. it spans about
-    `width` grid cells.  smooth=False returns the raw parity signs.
+    `width` grid cells.
     """
     if n < 128:
         raise ResolutionError("rasterization grid must have n >= 128")
     sign = _crossing_fill(curve, n)
-    if not smooth:
-        return GridField(values=sign, zero_mean=False)
     h = 1.0 / n
     cutoff = 4.0 * width * h
     idx, d = _band_distances(curve, n, cutoff)
@@ -313,73 +247,9 @@ def potential_of_set(curve, n=256, width=1.5):
     """Zero-mean torus potential v_E of the phase indicator, plus its curve trace.
 
     The trace is the exact value of the grid potential's trigonometric
-    interpolant at the markers; its normal derivative is evaluated on first
-    access.
+    interpolant at the markers.
     """
     u = rasterize_indicator(curve, n, width=width)
     v = solve_poisson_zero_mean(u)
     tr = interpolate_grid(v.values, curve.markers())
-    return v, PotentialTrace(v, curve, CurveSamples(tr, kind="boundary-data"))
-
-
-def line_mode_coefficients(curve, phi, n=256, width=2.0, kcut_frac=0.25):
-    """Fourier coefficients of the line measure phi*ds (Gaussian-spread, deconvolved).
-
-    Gaussian spreading of width `width` grid cells, exact division by the
-    window transfer function, spectrum truncated at kcut_frac*n.  Returns the
-    coefficient array c(k) = integral phi exp(-2 pi i k.x) ds in fft layout.
-    """
-    vals = np.asarray(curve.require_samples(phi), dtype=float)
-    w = curve.arclength_weights()
-    h = 1.0 / n
-    sigma = 0.5 * width * h
-    half = int(np.ceil(6.0 * sigma * n))
-    rho = np.zeros((n, n))
-    pts = np.mod(curve.markers(), 1.0)
-    base = np.floor(pts * n).astype(int)
-    offs = np.arange(-half, half + 1)
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    amp = w * vals / (2.0 * np.pi * sigma**2)
-    for j in range(pts.shape[0]):
-        ix = np.mod(base[j, 0] + ox, n)
-        iy = np.mod(base[j, 1] + oy, n)
-        dx = (base[j, 0] + ox) * h - pts[j, 0]
-        dy = (base[j, 1] + oy) * h - pts[j, 1]
-        np.add.at(rho, (ix, iy), amp[j] * np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2)))
-    c = np.fft.fft2(rho) / n**2
-    kx, ky, _ = _wavenumbers(n)
-    transfer = np.exp(-2.0 * np.pi**2 * sigma**2 * (kx**2 + ky**2))
-    mask = np.sqrt(kx**2 + ky**2) <= kcut_frac * n
-    out = np.zeros_like(c)
-    out[mask] = c[mask] / transfer[mask]
-    return out
-
-
-def line_measure_potential(curve, phi, n=256, width=2.0):
-    """Potential v_phi of the zero-mean line density phi on the curve.
-
-    The arclength mean of phi is projected out first (and reported) so the
-    density matches the zero-mean Green function convention.
-    """
-    vals = np.array(curve.require_samples(phi), dtype=float)
-    mean = integrate_ds(curve, vals) / perimeter(curve)
-    if abs(mean) > 1e-13 * (1.0 + np.abs(vals).max()):
-        log.info("line_measure_potential: projected out density mean %.3e", mean)
-    vals = vals - mean
-    c = line_mode_coefficients(curve, CurveSamples(vals), n=n, width=width)
-    _, _, k2 = _wavenumbers(n)
-    k2[0, 0] = 1.0
-    vh = c * n**2 / k2
-    vh[0, 0] = 0.0
-    return GridField(values=np.fft.ifft2(vh).real, zero_mean=True)
-
-
-def pair_energy(curve, phi_a, phi_b, n=256, width=2.0):
-    """Double Green integral of two line densities via spectral polarization."""
-    ca = line_mode_coefficients(curve, phi_a, n=n, width=width)
-    cb = line_mode_coefficients(curve, phi_b, n=n, width=width)
-    _, _, k2 = _wavenumbers(n)
-    k2[0, 0] = 1.0
-    ca = ca.copy()
-    ca[0, 0] = 0.0
-    return float(np.sum((ca * np.conj(cb)).real / k2))
+    return v, CurveSamples(tr, kind="boundary-data")

@@ -75,6 +75,7 @@ class FlowState:
     target_area: float
     params: FlowParams = field(default_factory=FlowParams)
     cached: dict = field(default_factory=dict)
+    area: float = field(init=False)  # enclosed area of `curve`, checked against the target
 
     def __post_init__(self):
         if self.flow_kind not in ("ms", "sd"):
@@ -82,10 +83,10 @@ class FlowState:
         if self.flow_kind == "sd":
             # surface diffusion is the gamma=0 gradient flow by definition
             self.gamma = 0.0
-        a = enclosed_area(self.curve)
-        if abs(a - self.target_area) > self.params.area_tol:
+        self.area = enclosed_area(self.curve)
+        if abs(self.area - self.target_area) > self.params.area_tol:
             raise ValueError(
-                f"area {a:.10f} violates target {self.target_area:.10f} "
+                f"area {self.area:.10f} violates target {self.target_area:.10f} "
                 f"beyond tolerance {self.params.area_tol:.1e}"
             )
 
@@ -128,11 +129,11 @@ def _evaluate(state, curve=None):
         V = surface_laplacian(c, kap).values
         dk = arclength_derivative(c, kap).values
         return {"V": V, "dissipation": integrate_ds(c, dk**2), "nonlocal": 0.0}
-    g, trace = bie.ms_boundary_data(c, state.gamma, grid_n=state.params.grid_n)
+    g, v = bie.ms_boundary_data(c, state.gamma, grid_n=state.params.grid_n)
     sol = bie.solve_jump(c, g)
     ev = {"V": sol.jump.values.copy(), "dissipation": sol.dissipation()}
     if curve is None:
-        ev["nonlocal"] = 0.0 if trace is None else state.gamma * dirichlet_energy(trace.potential)
+        ev["nonlocal"] = 0.0 if v is None else state.gamma * dirichlet_energy(v)
     return ev
 
 
@@ -360,7 +361,7 @@ def _record(state, trace, monitor, event=""):
             "J": per + ev["nonlocal"],
             "perimeter": per,
             "nonlocal": ev["nonlocal"],
-            "area": enclosed_area(state.curve),
+            "area": state.area,
             "dissipation": ev["dissipation"],
             "volume_correction": state.cached.get("volume_correction", 0.0),
             "psi_c1": psi_c1,

@@ -22,6 +22,7 @@ All operations are pure; curves are treated as immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,11 @@ MIN_MARKERS = 16
 # differentiating (fourth derivatives would otherwise amplify eps_mach by
 # ~(N/2)^4 and swamp stationarity checks).  Krasny-style noise filter.
 SPECTRAL_FILTER_REL = 1e-13
+
+# A loop whose derivative-weighted spectral tail, max |k| |c_k| over |k| >= n/4
+# relative to the mean speed L/2pi, exceeds this is too coarse to resample: its
+# trigonometric interpolant no longer carries the curve (and its area).
+RESAMPLE_TAIL_MAX = 1e-3
 
 
 def _modes(n):
@@ -102,16 +108,27 @@ class MarkerLoop:
         alpha = 2.0 * np.pi * np.arange(self.n) / self.n
         return self.lift - np.outer(alpha / (2.0 * np.pi), self.winding)
 
+    @cached_property
     def _coeffs(self):
+        """Filtered FFT coefficients of the periodic part, computed once per
+        (immutable) loop and returned read-only."""
         c = np.fft.fft(self._periodic_part(), axis=0) / self.n
         cut = SPECTRAL_FILTER_REL * np.abs(c).max()
         c[np.abs(c) < cut] = 0.0
+        c.flags.writeable = False
         return c
+
+    def spectral_tail(self):
+        """max |k| |c_k| over |k| >= n/4, relative to the mean speed L/2pi."""
+        k = np.abs(_modes(self.n))
+        high = k >= self.n / 4
+        tail = float(np.max(k[high, None] * np.abs(self._coeffs[high])))
+        return tail / (self.length() / (2.0 * np.pi))
 
     def derivative(self, order=1):
         """d^order x / d alpha^order at the markers (alpha in [0, 2pi))."""
         dq = np.fft.ifft(
-            _spectral_derivative_coeffs(self._coeffs(), order) * self.n, axis=0
+            _spectral_derivative_coeffs(self._coeffs, order) * self.n, axis=0
         ).real
         if order == 1:
             dq = dq + self.winding / (2.0 * np.pi)
@@ -120,7 +137,7 @@ class MarkerLoop:
     def evaluate(self, alphas, order=0):
         """Trigonometric evaluation of the lift (or a derivative) at arbitrary alphas."""
         alphas = np.asarray(alphas, dtype=float)
-        coeffs = self._coeffs()
+        coeffs = self._coeffs
         if order:
             coeffs = _spectral_derivative_coeffs(coeffs, order)
         k = _modes(self.n)
@@ -326,10 +343,18 @@ def resample_equal_arclength(curve, n_per_loop, max_passes=3):
     The markers are moved along the trigonometric interpolant of the input, so
     the represented curve (and its enclosed area) is preserved to spectral
     accuracy; an extra pass tightens the spacing when the input
-    parametrization is far from arclength.
+    parametrization is far from arclength.  An input loop whose spectral tail
+    exceeds RESAMPLE_TAIL_MAX is under-resolved and raises ResolutionError.
     """
     if n_per_loop < MIN_MARKERS:
         raise ResolutionError(f"n_per_loop must be >= {MIN_MARKERS}")
+    for lp in curve.components:
+        tail = lp.spectral_tail()
+        if tail > RESAMPLE_TAIL_MAX:
+            raise ResolutionError(
+                f"loop of {lp.n} markers is under-resolved for resampling "
+                f"(spectral tail {tail:.2e} > {RESAMPLE_TAIL_MAX:.0e})"
+            )
     out = curve
     for it in range(max_passes):
         out = _resample_once(out, n_per_loop)

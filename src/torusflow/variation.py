@@ -21,13 +21,6 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .bie import assemble_single_layer, ms_boundary_data, potential_normal_derivative
-from .fields import (
-    _wavenumbers,
-    dirichlet_energy,
-    line_measure_potential,
-    line_mode_coefficients,
-    potential_of_set,
-)
 from .geometry import (
     CurveSamples,
     arclength_derivative,
@@ -147,16 +140,12 @@ class SecondVariationMatrix:
         )
 
 
-def assemble_second_variation(
-    curve, gamma, n_modes=8, grid_n=256, crit_tol=1e-4, delta_width=2.0, method="kress"
-):
+def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256, crit_tol=1e-4):
     """Assemble the four matrices of the quadratic form over the Fourier basis.
 
-    method="kress" (default) evaluates the nonlocal block and d_nu v_E through
-    the single-layer quadrature so the two gamma terms cancel on translation
-    traces to quadrature accuracy; method="grid" rebuilds both from
-    line-measure potentials and the rasterized v_E (the independent
-    cross-check route).
+    The nonlocal block and d_nu v_E both go through the single-layer
+    quadrature, so the two gamma terms cancel on translation traces to
+    quadrature accuracy; grid_n sizes only the criticality residual's v_E.
     """
     B, dB, labels = _mode_basis(curve, n_modes)
     w = curve.arclength_weights()
@@ -172,28 +161,11 @@ def assemble_second_variation(
             "form omits the first-variation remainder and is diagnostic only"
         )
         warnings.warn(warning)
-    if method == "kress":
-        op = assemble_single_layer(curve)
-        dnv = potential_normal_derivative(curve, op).values
-        WB = w[:, None] * B
-        nonlocal_part = WB.T @ op.kernel @ WB
-        nonlocal_part = 0.5 * (nonlocal_part + nonlocal_part.T)
-    elif method == "grid":
-        _, trace = potential_of_set(curve, n=grid_n)
-        dnv = trace.normal_derivative.values
-        _, _, k2 = _wavenumbers(grid_n)
-        k2[0, 0] = 1.0
-        cols = []
-        for jb in range(B.shape[1]):
-            c = line_mode_coefficients(
-                curve, CurveSamples(B[:, jb]), n=grid_n, width=delta_width
-            )
-            c[0, 0] = 0.0
-            cols.append((c / np.sqrt(k2)).ravel())
-        V = np.array(cols)
-        nonlocal_part = (V @ V.conj().T).real
-    else:
-        raise ValueError("method must be 'kress' or 'grid'")
+    op = assemble_single_layer(curve)
+    dnv = potential_normal_derivative(curve, op).values
+    WB = w[:, None] * B
+    nonlocal_part = WB.T @ op.kernel @ WB
+    nonlocal_part = 0.5 * (nonlocal_part + nonlocal_part.T)
     pot = B.T @ ((w * dnv)[:, None] * B)
     gram = B.T @ (w[:, None] * B)
     means = B.T @ w
@@ -285,12 +257,11 @@ def spectrum(matrix, stab_tol_rel=1e-6, overlap_threshold=0.99):
     )
 
 
-def second_variation_direct(curve, gamma, phi, grid_n=256, operator=None):
+def second_variation_direct(curve, gamma, phi, operator=None):
     """Direct evaluation of the quadratic form on one sampled perturbation.
 
-    With an operator supplied, both gamma terms go through the single-layer
-    quadrature (as in the default assembly); otherwise the independent grid
-    route (line-measure potential + rasterized v_E trace) is used.
+    Both gamma terms go through the single-layer quadrature, as in the
+    assembly; `operator` reuses an already assembled single layer.
     """
     vals = np.asarray(curve.require_samples(phi), dtype=float)
     w = curve.arclength_weights()
@@ -298,14 +269,9 @@ def second_variation_direct(curve, gamma, phi, grid_n=256, operator=None):
     dphi = arclength_derivative(curve, CurveSamples(vals)).values
     out = float(np.sum(w * dphi**2) - np.sum(w * kap**2 * vals**2))
     if gamma != 0.0:
-        if operator is not None:
-            nl = operator.quadratic_form(vals)
-            dnv = potential_normal_derivative(curve, operator).values
-        else:
-            vphi = line_measure_potential(curve, CurveSamples(vals), n=grid_n)
-            nl = dirichlet_energy(vphi)
-            _, trace = potential_of_set(curve, n=grid_n)
-            dnv = trace.normal_derivative.values
+        op = operator if operator is not None else assemble_single_layer(curve)
+        nl = op.quadratic_form(vals)
+        dnv = potential_normal_derivative(curve, op).values
         out += 8.0 * gamma * nl
         out += 4.0 * gamma * float(np.sum(w * dnv * vals**2))
     return out

@@ -327,7 +327,8 @@ def test_dissipation_quadratic_in_eps():
 
 def test_dissipation_cross_check_with_grid():
     # grid reconstruction of w through the line potential of the density
-    from torusflow.fields import dirichlet_energy, line_measure_potential
+    from grid_reference import line_measure_potential
+    from torusflow.fields import dirichlet_energy
 
     st = shapes.perturbed_strip(0.5, 1e-2, 1, n=256)
     _, sol = ms_normal_velocity(st, 0.0)

@@ -1,9 +1,16 @@
-"""Grid fields: rasterization, spectral Poisson, line-measure potentials."""
+"""Grid fields: rasterization, spectral Poisson, and the test-side line-measure
+potentials of grid_reference."""
 
 import numpy as np
 import pytest
 
 import oracles
+from grid_reference import (
+    line_measure_potential,
+    neg_laplacian,
+    normal_derivative,
+    pair_energy,
+)
 from torusflow import shapes
 from torusflow.bie import potential_normal_derivative
 from torusflow.errors import ResolutionError
@@ -11,9 +18,6 @@ from torusflow.fields import (
     GridField,
     dirichlet_energy,
     interpolate_grid,
-    line_measure_potential,
-    neg_laplacian,
-    pair_energy,
     potential_of_set,
     rasterize_indicator,
     solve_poisson_zero_mean,
@@ -95,7 +99,7 @@ def test_strip_energy_and_trace():
     v, trace = potential_of_set(st, 256)
     assert dirichlet_energy(v) == pytest.approx(oracles.strip_dirichlet_energy(h), rel=1e-3)
     np.testing.assert_allclose(
-        trace.normal_derivative.values, oracles.strip_normal_derivative(h), rtol=2e-2
+        normal_derivative(v, st).values, oracles.strip_normal_derivative(h), rtol=2e-2
     )
 
 
@@ -117,7 +121,7 @@ def test_strip_trace_grid_convergence():
     errs = []
     for n in (128, 256, 512):
         _, trace = potential_of_set(st, n)
-        errs.append(np.abs(trace.boundary_values.values - exact).max())
+        errs.append(np.abs(trace.values - exact).max())
     assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1], errs
     assert errs[2] < 1e-6, errs
 
@@ -136,8 +140,8 @@ def test_grid_normal_derivative_converges_to_kress(curve):
     kress = potential_normal_derivative(curve).values
     errs = []
     for n in (128, 256, 512):
-        _, trace = potential_of_set(curve, n)
-        errs.append(np.abs(trace.normal_derivative.values - kress).max())
+        v, _ = potential_of_set(curve, n)
+        errs.append(np.abs(normal_derivative(v, curve).values - kress).max())
     assert errs[1] <= 0.6 * errs[0] and errs[2] <= 0.6 * errs[1], errs
     assert errs[2] < 2e-3, errs
 
@@ -145,7 +149,7 @@ def test_grid_normal_derivative_converges_to_kress(curve):
 def test_circle_trace_square_symmetry():
     c = shapes.circle(0.2, n=256)
     _, trace = potential_of_set(c, 256)
-    tr = trace.boundary_values.values
+    tr = trace.values
     # quarter rotation maps the marker set to itself (n divisible by 4)
     quarter = np.roll(tr, 64)
     assert np.abs(tr - quarter).max() < 1e-8
@@ -207,18 +211,3 @@ def test_interpolate_grid_bandlimited():
     got = interpolate_grid(f, pts)
     assert np.abs(got - exact).max() < 1e-12
 
-
-def test_gridfield_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    g = GridField(rng.normal(size=(64, 64)), zero_mean=False)
-    path = tmp_path / "field.bin"
-    g.to_binary(path)
-    g2 = GridField.from_binary(path)
-    assert np.array_equal(g.values, g2.values)
-    assert g2.zero_mean is False
-    with open(path, "rb") as fh:
-        head = np.fromfile(fh, dtype="<u8", count=2)
-    assert head[0] == 64 and head[1] == 0
-    csv_path = tmp_path / "field.csv"
-    g.to_csv(csv_path)
-    assert np.abs(np.loadtxt(csv_path, delimiter=",") - g.values).max() < 1e-12

@@ -183,6 +183,23 @@ def test_nonlocal_energy_only_at_records(monkeypatch):
     assert len(calls) == 3
 
 
+def test_record_reads_state_area(monkeypatch):
+    # a stepped state's area check computes the area its record reads, so each
+    # step computes it twice: the volume correction and the state's check
+    import torusflow.flow as flow_mod
+
+    calls = []
+    area = flow_mod.enclosed_area
+    monkeypatch.setattr(flow_mod, "enclosed_area", lambda c: calls.append(1) or area(c))
+    st = make_state(shapes.perturbed_strip(0.5, 1e-3, 1, n=64), "sd",
+                    params=FlowParams(scheme="ssd", dt=5e-5))
+    calls.clear()
+    res = run(st, t_end=4 * 5e-5)
+    assert res.event == "completed"
+    assert len(calls) == 2 * 4
+    assert res.trace.column("area")[-1] == area(res.state.curve) == res.state.area
+
+
 def test_run_determinism():
     def one():
         p = shapes.perturbed_strip(0.5, 1e-3, 1, n=64)

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from grid_reference import (
+    assemble_second_variation_grid,
+    grid_nonlocal_parts,
+    second_variation_direct_grid,
+)
 from torusflow import shapes
 from torusflow.bie import assemble_single_layer
 from torusflow.geometry import CurveSamples, arclength_derivative, integrate_ds
@@ -115,10 +120,34 @@ def test_quadratic_form_consistency_grid_route():
     st = shapes.strip(0.3, n=128)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mk = assemble_second_variation(st, 1.0, n_modes=4, method="kress")
-        mg = assemble_second_variation(st, 1.0, n_modes=4, method="grid")
+        mk = assemble_second_variation(st, 1.0, n_modes=4)
+        mg = assemble_second_variation_grid(st, 1.0, n_modes=4)
     scale = np.abs(mk.total(1.0)).max()
     assert np.abs(mk.total(1.0) - mg.total(1.0)).max() / scale < 1e-4
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [shapes.strip(0.3, n=128), shapes.perturbed_circle(0.2, 0.01, 3, n=128)],
+    ids=["strip", "perturbed_circle"],
+)
+def test_grid_parts_converge_to_kress(curve):
+    # both gamma parts separately: their sum in total() cancels on translation
+    # traces, so its grid error is not monotone in the grid size
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mk = assemble_second_variation(curve, 1.0, n_modes=4)
+    errs = []
+    for n in (128, 256, 512):
+        nl, pot = grid_nonlocal_parts(curve, mk.basis, grid_n=n)
+        errs.append(
+            max(
+                np.abs(nl - mk.nonlocal_kernel_part).max()
+                / np.abs(mk.nonlocal_kernel_part).max(),
+                np.abs(pot - mk.potential_part).max() / np.abs(mk.potential_part).max(),
+            )
+        )
+    assert errs[1] <= 0.6 * errs[0] and errs[2] <= 0.6 * errs[1], errs
 
 
 def test_quadratic_form_random_phi_consistency():
@@ -131,7 +160,7 @@ def test_quadratic_form_random_phi_consistency():
     phi = mat.basis @ y
     qf_matrix = float(y @ mat.total(1.0) @ y)
     # independent route: grid-based direct evaluation
-    qf_grid = second_variation_direct(c, 1.0, CurveSamples(phi))
+    qf_grid = second_variation_direct_grid(c, 1.0, CurveSamples(phi))
     assert abs(qf_matrix - qf_grid) / abs(qf_grid) < 1e-4
 
 
