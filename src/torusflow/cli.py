@@ -88,6 +88,7 @@ def cmd_simulate(cp):
     summary = {
         "config_hash": h,
         "event": result.event,
+        "reason": result.reason,
         "final_time": float(result.state.time),
         "steps": len(result.trace) - 1,
         "J_final": float(result.trace.column("J")[-1]),

@@ -7,10 +7,10 @@ gamma so potentials can be reused across gamma sweeps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import erf
 
 from .errors import ResolutionError
@@ -41,21 +41,22 @@ class GridField:
         return float(self.values.mean())
 
 
+@functools.lru_cache(maxsize=8)
 def _wavenumbers(n):
+    """(kx, ky, 4 pi^2 |k|^2) in fft layout, built once per n and read-only."""
     k = np.fft.fftfreq(n, d=1.0 / n)
     kx, ky = np.meshgrid(k, k, indexing="ij")
-    return kx, ky, 4.0 * np.pi**2 * (kx**2 + ky**2)
+    tables = kx, ky, 4.0 * np.pi**2 * (kx**2 + ky**2)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
 def solve_poisson_zero_mean(rhs):
     """Spectral solve of -Lap v = rhs - mean(rhs) with zero-mean v."""
-    n = rhs.n
-    _, _, k2 = _wavenumbers(n)
+    _, _, k2 = _wavenumbers(rhs.n)
     rh = np.fft.fft2(rhs.values)
-    rh[0, 0] = 0.0
-    k2[0, 0] = 1.0
-    vh = rh / k2
-    vh[0, 0] = 0.0
+    vh = np.divide(rh, k2, out=np.zeros_like(rh), where=k2 != 0)
     return GridField(values=np.fft.ifft2(vh).real, zero_mean=True)
 
 
@@ -157,53 +158,39 @@ def _crossing_fill(curve, n):
     return sign
 
 
-def _band_nodes(curve, n, cutoff):
-    """Flat indices of grid nodes within `cutoff` of any segment bounding box."""
-    a, b = _all_segments(curve)
-    mask = np.zeros((n, n), dtype=bool)
-    pad = cutoff
-    for s in range(a.shape[0]):
-        lo = np.minimum(a[s], b[s]) - pad
-        hi = np.maximum(a[s], b[s]) + pad
-        ix = np.arange(int(np.floor(lo[0] * n)), int(np.ceil(hi[0] * n)) + 1) % n
-        iy = np.arange(int(np.floor(lo[1] * n)), int(np.ceil(hi[1] * n)) + 1) % n
-        mask[np.ix_(ix, iy)] = True
-    return np.nonzero(mask.ravel())[0]
-
-
 def _band_distances(curve, n, cutoff):
-    """(flat node indices, signed distances) for nodes within cutoff of the curve."""
-    idx = _band_nodes(curve, n, cutoff)
-    if idx.size == 0:
-        return idx, np.empty(0)
+    """(flat node indices, signed distances) for nodes within cutoff of the curve.
+
+    Each lifted segment scores the lifted nodes of its bounding box padded by
+    `cutoff` (one span for all boxes), so no periodic images are needed; per
+    wrapped node, in ascending order, the nearest segment gives |d| and its side
+    the sign."""
     a, b = _all_segments(curve)
-    mids = 0.5 * (a + b)
-    shifts = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-    imgs = (mids[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-    seg_ids = np.tile(np.arange(a.shape[0]), 9)
-    tree = cKDTree(imgs)
-    pts = np.column_stack([(idx // n) / n, (idx % n) / n])
-    kq = min(12, imgs.shape[0])
-    _, nbr = tree.query(pts, k=kq, workers=-1)
-    nbr = np.atleast_2d(nbr)
     ab = b - a
     ab2 = np.sum(ab * ab, axis=1)
-    best_d2 = np.full(idx.shape[0], np.inf)
-    best_cross = np.zeros(idx.shape[0])
-    for colk in range(nbr.shape[1]):
-        j = seg_ids[nbr[:, colk]]
-        shift = imgs[nbr[:, colk]] - mids[j]
-        rel = pts - (a[j] + shift)
-        t = np.clip(np.einsum("pd,pd->p", rel, ab[j]) / ab2[j], 0.0, 1.0)
-        diff = rel - t[:, None] * ab[j]
-        d2 = np.einsum("pd,pd->p", diff, diff)
-        upd = d2 < best_d2
-        cross = ab[j, 0] * diff[:, 1] - ab[j, 1] * diff[:, 0]
-        best_cross = np.where(upd, cross, best_cross)
-        best_d2 = np.where(upd, d2, best_d2)
-    d = np.sqrt(best_d2) * np.where(best_cross > 0, -1.0, 1.0)
-    keep = np.abs(d) <= cutoff
-    return idx[keep], d[keep]
+    lo = np.floor((np.minimum(a, b) - cutoff) * n).astype(int)
+    span = np.max(np.ceil((np.maximum(a, b) + cutoff) * n).astype(int) - lo, axis=0) + 1
+    ix = lo[:, 0, None] + np.arange(span[0])  # (segments, span_x) lifted node columns
+    iy = lo[:, 1, None] + np.arange(span[1])
+    relx = (ix / n - a[:, 0, None])[:, :, None]
+    rely = (iy / n - a[:, 1, None])[:, None, :]
+    abx, aby = ab[:, 0, None, None], ab[:, 1, None, None]
+    t = np.clip((relx * abx + rely * aby) / ab2[:, None, None], 0.0, 1.0)
+    diffx = relx - t * abx
+    diffy = rely - t * aby
+    dist = np.sqrt(diffx * diffx + diffy * diffy)
+    near = dist <= cutoff
+    flat = (np.mod(ix, n) * n)[:, :, None] + np.mod(iy, n)[:, None, :]
+    flat, dist = flat[near], dist[near]
+    # cross > 0: the node lies left of travel, i.e. inside E, where d is negative
+    cross = (abx * diffy - aby * diffx)[near]
+    best = np.full(n * n, np.inf)
+    np.minimum.at(best, flat, dist)
+    side = np.zeros(n * n)
+    attains = dist == best[flat]
+    side[flat[attains]] = cross[attains]
+    idx = np.nonzero(np.isfinite(best))[0]
+    return idx, best[idx] * np.where(side[idx] > 0, -1.0, 1.0)
 
 
 def rasterize_indicator(curve, n, width=1.5):

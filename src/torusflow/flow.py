@@ -330,6 +330,7 @@ class RunResult:
     event: str
     state: FlowState
     snapshots: list
+    reason: str = ""  # "Class: message" of the exception behind the event, else ""
 
 
 def _psi_c1(curve, reference):
@@ -377,20 +378,19 @@ def run(initial, monitor=None, t_end=1e-3, snapshot_every=0, max_steps=10**7):
     Stopping reasons: 'graph_failure' (curve degenerated or left the graph
     neighborhood), 'c1_exceeded' (C^1 distance >= eps0),
     'dissipation_exceeded' (dissipation >= 2*delta0), 'dt_underflow'; a clean
-    finish reports 'completed'.
+    finish reports 'completed'.  A 'graph_failure' keeps the class and message
+    of its exception as the result's `reason`.
     """
     state = initial
     trace = EnergyTrace()
     snapshots = []
     try:
         ev, psi_c1 = _record(state, trace, monitor)
-    except GraphFailure:
+    except GraphFailure as exc:
         # the initial state already fails the graph surveillance
         _record(state, trace, None, event="graph_failure")
-        return RunResult(
-            trace=trace, event="graph_failure", state=state, snapshots=snapshots
-        )
-    event = ""
+        return RunResult(trace, "graph_failure", state, snapshots, f"GraphFailure: {exc}")
+    event = reason = ""
     steps = 0
     while state.time < t_end * (1.0 - 1e-12) and steps < max_steps:
         vmax = float(np.abs(ev["V"]).max())
@@ -402,8 +402,8 @@ def run(initial, monitor=None, t_end=1e-3, snapshot_every=0, max_steps=10**7):
             state = step(state, dt)
             steps += 1
             ev, psi_c1 = _record(state, trace, monitor)
-        except (GraphFailure, TopologyError, ResolutionError):
-            event = "graph_failure"
+        except (GraphFailure, TopologyError, ResolutionError) as exc:
+            event, reason = "graph_failure", f"{type(exc).__name__}: {exc}"
             break
         if snapshot_every and steps % snapshot_every == 0:
             snapshots.append((state.time, state.curve))
@@ -417,4 +417,4 @@ def run(initial, monitor=None, t_end=1e-3, snapshot_every=0, max_steps=10**7):
     if not event:
         event = "completed" if state.time >= t_end * (1.0 - 1e-12) else "max_steps"
     trace.rows[-1]["event"] = event
-    return RunResult(trace=trace, event=event, state=state, snapshots=snapshots)
+    return RunResult(trace, event, state, snapshots, reason)

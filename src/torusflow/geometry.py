@@ -270,6 +270,14 @@ class PeriodicCurve:
             )
         return samples.values if isinstance(samples, CurveSamples) else np.asarray(samples)
 
+    @cached_property
+    def _area(self):
+        """Polygon area by the torus scanline plus the chord-to-arc lens
+        correction, computed once per (immutable) curve; see enclosed_area."""
+        poly = _polygon_area_scanline(self)
+        lens = sum(lp._area_raw() for lp in self.components) - _polygon_shoelace_lift(self)
+        return poly + lens
+
     # -- validation ----------------------------------------------------------
 
     def validate(self, check_intersections=True, probe_area=True):
@@ -527,11 +535,10 @@ def enclosed_area(curve, check=False, n_probe=24):
 
     Exact polygon area by the torus scanline, plus the chord-to-arc lens
     correction of the trigonometric interpolant (a sum of local areas, hence
-    free of mod-1 ambiguity).
+    free of mod-1 ambiguity).  The area is computed once per curve; the range
+    check and, with `check`, the orientation probe run at every call.
     """
-    poly = _polygon_area_scanline(curve)
-    lens = sum(lp._area_raw() for lp in curve.components) - _polygon_shoelace_lift(curve)
-    area = poly + lens
+    area = curve._area
     if not 0.0 < area < 1.0:
         raise OrientationError(f"computed phase area {area:.6f} not in (0,1)")
     if check:

@@ -99,7 +99,7 @@ def line_measure_potential(curve, phi, n=256, width=2.0):
         log.info("line_measure_potential: projected out density mean %.3e", mean)
     vals = vals - mean
     c = line_mode_coefficients(curve, CurveSamples(vals), n=n, width=width)
-    _, _, k2 = _wavenumbers(n)
+    k2 = _wavenumbers(n)[2].copy()
     k2[0, 0] = 1.0
     vh = c * n**2 / k2
     vh[0, 0] = 0.0
@@ -110,7 +110,7 @@ def pair_energy(curve, phi_a, phi_b, n=256, width=2.0):
     """Double Green integral of two line densities via spectral polarization."""
     ca = line_mode_coefficients(curve, phi_a, n=n, width=width)
     cb = line_mode_coefficients(curve, phi_b, n=n, width=width)
-    _, _, k2 = _wavenumbers(n)
+    k2 = _wavenumbers(n)[2].copy()
     k2[0, 0] = 1.0
     ca = ca.copy()
     ca[0, 0] = 0.0
@@ -127,7 +127,7 @@ def grid_nonlocal_parts(curve, basis, grid_n=256, delta_width=2.0):
     w = curve.arclength_weights()
     v, _ = potential_of_set(curve, n=grid_n)
     dnv = normal_derivative(v, curve).values
-    _, _, k2 = _wavenumbers(grid_n)
+    k2 = _wavenumbers(grid_n)[2].copy()
     k2[0, 0] = 1.0
     cols = []
     for jb in range(B.shape[1]):

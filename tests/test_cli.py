@@ -86,6 +86,7 @@ def test_simulate_end_to_end(tmp_path):
     h = config_hash(cp)
     summary = json.loads((tmp_path / f"summary_{h}.json").read_text())
     assert summary["event"] == "completed"
+    assert summary["reason"] == ""
     assert summary["area_drift"] < 1e-10
     # dissipation decay rate doubles the mode rate (2 pi)^4
     assert summary["decay_fit"]["c0"] == pytest.approx(2 * (2 * np.pi) ** 4, rel=0.05)

@@ -1,6 +1,11 @@
 """Grid fields: rasterization, spectral Poisson, and the test-side line-measure
 potentials of grid_reference."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,13 +21,19 @@ from torusflow.bie import potential_normal_derivative
 from torusflow.errors import ResolutionError
 from torusflow.fields import (
     GridField,
+    _band_distances,
     dirichlet_energy,
     interpolate_grid,
     potential_of_set,
     rasterize_indicator,
     solve_poisson_zero_mean,
 )
-from torusflow.geometry import CurveSamples, integrate_ds
+from torusflow.geometry import (
+    CurveSamples,
+    _all_segments,
+    integrate_ds,
+    signed_distance_points,
+)
 
 
 def test_rasterize_strip_values_and_mean():
@@ -46,6 +57,62 @@ def test_rasterize_shapes_mean():
 def test_rasterize_rejects_small_grid():
     with pytest.raises(ResolutionError):
         rasterize_indicator(shapes.circle(0.2, n=128), 64)
+
+
+def _nodes_near_markers(curve, n, radius):
+    """Sorted flat indices of every node within `radius` of some marker
+    (a square stencil per marker, so a superset)."""
+    r = int(np.ceil(radius * n)) + 1
+    base = np.floor(curve.markers() * n).astype(int)
+    off = np.arange(-r, r + 1)
+    ix = np.mod(base[:, 0, None] + off, n)
+    iy = np.mod(base[:, 1, None] + off, n)
+    return np.unique((ix[:, :, None] * n + iy[:, None, :]).ravel())
+
+
+BAND_FIXTURES = {
+    "corner_circle": lambda: shapes.circle(0.3, center=(0.02, 0.97), n=256),
+    "two_disks": lambda: shapes.two_disks(c1=(0.03, 0.04)),
+    "thin_ellipse": lambda: shapes.ellipse(0.25, 0.0625, center=(0.0, 0.5), n=128),
+    "perturbed_strip": lambda: shapes.perturbed_strip(0.4, 0.02, 2, n=96),
+    "lamella3": lambda: shapes.lamella(3, 0.5, n_per_loop=64),
+}
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+@pytest.mark.parametrize("name", sorted(BAND_FIXTURES))
+def test_band_matches_brute_force_distance(name, n):
+    # oracle: brute-force minimal-image distances to every segment at every
+    # node that can lie within the cutoff (any point of a segment is within
+    # half its length of a marker)
+    curve = BAND_FIXTURES[name]()
+    cutoff = 4.0 * 1.5 / n  # the band of rasterize_indicator's default width
+    a, b = _all_segments(curve)
+    half_seg = 0.5 * np.sqrt(np.sum((b - a) ** 2, axis=1)).max()
+    cand = _nodes_near_markers(curve, n, cutoff + half_seg)
+    ref = signed_distance_points(curve, np.column_stack([cand // n, cand % n]) / n)
+    idx, d = _band_distances(curve, n, cutoff)
+    ambiguous = cand[np.abs(np.abs(ref) - cutoff) <= 1e-12]
+    np.testing.assert_array_equal(
+        idx[~np.isin(idx, ambiguous)],
+        cand[(np.abs(ref) <= cutoff) & ~np.isin(cand, ambiguous)],
+    )
+    assert np.all(np.isin(idx, cand))
+    np.testing.assert_allclose(d, ref[np.searchsorted(cand, idx)], rtol=0, atol=1e-14)
+
+
+def test_package_import_leaves_out_scipy_spatial():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, torusflow.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_translation_equivariance():

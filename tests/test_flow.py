@@ -239,6 +239,26 @@ def test_run_graph_failure_event():
     mon = StoppingMonitor(eps0=1.0, delta0=1e9, reference=shapes.circle(0.2, n=64))
     res = run(st, monitor=mon, t_end=1e-5)
     assert res.event == "graph_failure"
+    assert res.reason == "GraphFailure: component count differs from reference"
+
+
+def test_run_keeps_reason_of_failed_step(monkeypatch):
+    # a step that raises ends the run as 'graph_failure' with the exception's
+    # class and message; a clean run has no reason
+    import torusflow.flow as flow_mod
+    from torusflow.errors import ResolutionError
+
+    p = shapes.perturbed_strip(0.5, 1e-3, 1, n=64)
+    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-6))
+    assert run(st, t_end=2e-6).reason == ""
+
+    def failing_step(state, dt):
+        raise ResolutionError("jump system too ill-conditioned")
+
+    monkeypatch.setattr(flow_mod, "step", failing_step)
+    res = run(st, t_end=2e-6)
+    assert res.event == "graph_failure"
+    assert res.reason == "ResolutionError: jump system too ill-conditioned"
 
 
 def test_monitor_dissipation_event():

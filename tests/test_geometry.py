@@ -200,6 +200,28 @@ def test_enclosed_area(curve, expect):
     np.testing.assert_allclose(enclosed_area(curve), expect, atol=1e-13)
 
 
+def test_enclosed_area_computed_once_per_curve(monkeypatch):
+    import torusflow.geometry as geometry
+
+    loops = irregular_circle().components
+    calls = []
+    scanline = geometry._polygon_area_scanline
+
+    def counting(curve):
+        calls.append(curve)
+        return scanline(curve)
+
+    monkeypatch.setattr(geometry, "_polygon_area_scanline", counting)
+    c = PeriodicCurve(loops, check=False)
+    first = enclosed_area(c)
+    assert enclosed_area(c, check=True) == first
+    assert len(calls) == 1
+    # a displaced curve is a new curve with its own area
+    shifted = geometry.displace(c, np.full((c.n_markers, 2), 0.01))
+    assert enclosed_area(shifted) == pytest.approx(first, abs=1e-14)
+    assert len(calls) == 2
+
+
 def test_area_perimeter_convergence_order():
     r, eps, k = 0.2, 0.01, 3
     a_exact = oracles.perturbed_circle_area(r, eps)
