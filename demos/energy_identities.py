@@ -19,12 +19,11 @@ import numpy as np
 
 from torusflow import shapes
 from torusflow.diagnostics import (
-    EnergyTrace,
     verify_first_identity,
     verify_second_identity_ms,
     verify_second_identity_sd,
 )
-from torusflow.flow import FlowParams, _record, make_state, step
+from torusflow.flow import EnergyTrace, FlowParams, _record, make_state, step
 
 # first identity along a surface diffusion trajectory
 dt = 6.4e-5

@@ -324,13 +324,6 @@ def ms_boundary_data(curve, gamma, grid_n=256):
     return CurveSamples(g, kind="boundary-data"), v
 
 
-def ms_normal_velocity(curve, gamma=0.0, grid_n=256, operator=None):
-    """Mullins-Sekerka normal velocity V = [d_nu w] with w = H + 4 gamma v_E on the curve."""
-    g, _ = ms_boundary_data(curve, gamma, grid_n=grid_n)
-    sol = solve_jump(curve, g, operator=operator)
-    return CurveSamples(sol.jump.values, kind="velocity"), sol
-
-
 def write_jump_csv(solution, path):
     """Per-marker dump: loop,idx,s,g,sigma,jump,dnw_plus,dnw_minus."""
     curve = solution.curve

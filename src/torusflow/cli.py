@@ -235,7 +235,7 @@ def cmd_plot(args):
     h = args.hash or ""
     made = []
     if args.trace:
-        traces = [diag.EnergyTrace.from_csv(p) for p in args.trace]
+        traces = [flow.EnergyTrace.from_csv(p) for p in args.trace]
         if any(len(t) == 0 for t in traces):
             raise ConfigError("empty trace")
         xs, ys, labels = [], [], []

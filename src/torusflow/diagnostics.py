@@ -1,4 +1,4 @@
-"""Energy accounting, the two energy identities, distances, and decay fits.
+"""The two energy identities, distances, decay fits and Sobolev norms.
 
 Along either flow the first identity says dJ/dt equals minus the dissipation
 (int |Dw|^2 for the nonlocal flow, int |D_tau H|^2 for surface diffusion); the
@@ -9,81 +9,15 @@ with centered differences across virtually advanced states.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import bie
-from .fields import _crossing_fill, dirichlet_energy, potential_of_set
-from .geometry import (
-    CurveSamples,
-    arclength_derivative,
-    curvature,
-    integrate_ds,
-    perimeter,
-    resample_equal_arclength,
-    signed_distance_grid,
-    surface_laplacian,
-)
+from .fields import _crossing_fill
+from .flow import Evaluation
+from .geometry import CurveSamples, integrate_ds, resample_equal_arclength, signed_distance_grid
 from .shapes import graph_over
 from .variation import criticality_residual, second_variation_direct
-
-TRACE_COLUMNS = (
-    "t",
-    "J",
-    "perimeter",
-    "nonlocal",
-    "area",
-    "dissipation",
-    "volume_correction",
-    "psi_c1",
-    "event",
-)
-
-
-@dataclass
-class EnergyTrace:
-    """Time series of energies and diagnostics along one run."""
-
-    rows: list = field(default_factory=list)
-    fitted: dict | None = None
-
-    def append_row(self, kw):
-        row = {k: kw.get(k, np.nan) for k in TRACE_COLUMNS}
-        row["event"] = kw.get("event", "")
-        row["identity1_residual"] = kw.get("identity1_residual", np.nan)
-        if self.rows and row["t"] <= self.rows[-1]["t"]:
-            raise ValueError("trace times must increase strictly")
-        self.rows.append(row)
-
-    def column(self, name):
-        return np.array([r[name] for r in self.rows], dtype=float if name != "event" else object)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def to_csv(self, path):
-        lines = [",".join(TRACE_COLUMNS)]
-        for r in self.rows:
-            vals = [f"{r[c]:.17g}" for c in TRACE_COLUMNS[:-1]] + [str(r["event"])]
-            lines.append(",".join(vals))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        tr = cls()
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                kw = {}
-                for name, val in zip(header, parts):
-                    kw[name] = val if name == "event" else float(val)
-                tr.rows.append({**{c: np.nan for c in TRACE_COLUMNS}, **kw,
-                                "identity1_residual": np.nan})
-        return tr
 
 
 @dataclass
@@ -111,23 +45,9 @@ class IdentityReport:
             "floor": self.floor,
         }
 
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
 
 def _relative(lhs, rhs, floor):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
-
-
-def energy(curve, gamma, grid_n=256):
-    """(J, perimeter, nonlocal contribution gamma*int|Dv_E|^2)."""
-    per = perimeter(curve)
-    if gamma == 0.0:
-        return per, per, 0.0
-    v, _ = potential_of_set(curve, n=grid_n)
-    nl = gamma * dirichlet_energy(v)
-    return per + nl, per, nl
 
 
 def verify_first_identity(trace, floor=1e-14):
@@ -156,93 +76,65 @@ def verify_first_identity(trace, floor=1e-14):
     }
 
 
-def _ms_dissipation_of(curve, gamma, grid_n):
-    _, sol = bie.ms_normal_velocity(curve, gamma, grid_n=grid_n)
-    return sol.dissipation()
-
-
-def _sd_dissipation_of(curve):
-    kap = curvature(curve)
-    dk = arclength_derivative(curve, kap)
-    return integrate_ds(curve, dk.values**2)
-
-
 def _advance(curve, speed, dt):
     moved = graph_over(curve, CurveSamples(np.asarray(speed) * dt))
     return resample_equal_arclength(moved, curve.components[0].n)
 
 
-def verify_second_identity_ms(curve, gamma=0.0, dt=None, grid_n=256, fd_scale=5e-3):
-    """Check d/dt (1/2 int |Dw|^2) = -Q[[d_nu w]] + (1/2) int (d_nu w+ + d_nu w-)[d_nu w]^2.
+def _second_identity(ev, rhs, terms, dt, fd_scale):
+    """Both sides of a second identity at the evaluation `ev`.
 
-    The left side is a centered difference across two virtually advanced
-    states (pure normal motion, resampled); dt=None picks a fraction of the
-    dynamical time D/|RHS| so the difference is neither stiff-limited nor
-    drowned by quadrature noise.
+    The left side d/dt (D/2) is a centered difference across the two curves
+    advanced by -dt and +dt with the flow's velocity (pure normal motion,
+    resampled);
+    dt=None picks a fraction of the dynamical time D/|rhs| so the difference
+    is neither stiff-limited nor drowned by quadrature noise.
     """
-    op = bie.assemble_single_layer(curve)
-    g, _ = bie.ms_boundary_data(curve, gamma, grid_n=grid_n)
-    sol = bie.solve_jump(curve, g, operator=op)
-    D0 = sol.dissipation()
-    jump = sol.jump.values
-    q2 = second_variation_direct(curve, gamma, CurveSamples(jump), operator=op)
-    cubic = 0.5 * integrate_ds(
-        curve, (sol.one_sided_plus.values + sol.one_sided_minus.values) * jump**2
-    )
-    rhs = -q2 + cubic
+    D0 = ev.dissipation
     floor = 1e-14 * max(1.0, abs(D0))
     if dt is None:
         dt = fd_scale * max(D0, floor) / max(abs(rhs), floor / fd_scale)
-    dp = _ms_dissipation_of(_advance(curve, jump, +dt), gamma, grid_n)
-    dm = _ms_dissipation_of(_advance(curve, jump, -dt), gamma, grid_n)
+    dp, dm = (
+        Evaluation(_advance(ev.curve, ev.V, s * dt), ev.flow_kind, ev.gamma, ev.grid_n).dissipation
+        for s in (1.0, -1.0)
+    )
     lhs = 0.5 * (dp - dm) / (2.0 * dt)
-    res, _ = criticality_residual(curve, gamma, grid_n=grid_n)
+    res, _ = criticality_residual(ev.curve, ev.gamma, grid_n=ev.grid_n)
     return IdentityReport(
         lhs=lhs,
         rhs=rhs,
         residual=lhs - rhs,
         relative_residual=_relative(lhs, rhs, floor),
-        terms={"second_variation": -q2, "cubic": cubic, "dissipation": D0},
+        terms={**terms, "dissipation": D0},
         criticality_sup=float(np.abs(res.values).max()),
         dt_used=dt,
         floor=floor,
     )
+
+
+def verify_second_identity_ms(curve, gamma=0.0, dt=None, grid_n=256, fd_scale=5e-3):
+    """Check d/dt (1/2 int |Dw|^2) = -Q[[d_nu w]] + (1/2) int (d_nu w+ + d_nu w-)[d_nu w]^2."""
+    ev = Evaluation(curve, "ms", gamma, grid_n)
+    sol, jump = ev.jump, ev.V
+    q2 = second_variation_direct(curve, gamma, CurveSamples(jump), operator=ev.operator)
+    cubic = 0.5 * integrate_ds(
+        curve, (sol.one_sided_plus.values + sol.one_sided_minus.values) * jump**2
+    )
+    terms = {"second_variation": -q2, "cubic": cubic}
+    return _second_identity(ev, -q2 + cubic, terms, dt, fd_scale)
 
 
 def verify_second_identity_sd(curve, dt=None, fd_scale=5e-3):
     """Check d/dt (1/2 int |D_tau H|^2) against
     -Q[Lap_tau H] - int kappa |d_s H|^2 Lap_tau H + (1/2) int H |d_s H|^2 Lap_tau H
     with the 2D reduction B[D_tau H] = kappa |d_s H|^2."""
-    kap = curvature(curve)
-    dk = arclength_derivative(curve, kap).values
-    V = surface_laplacian(curve, kap).values
-    D0 = integrate_ds(curve, dk**2)
+    ev = Evaluation(curve, "sd")
+    V, kdk2 = ev.V, ev.kappa.values * ev.dkappa**2
     q2 = second_variation_direct(curve, 0.0, CurveSamples(V))
-    bterm = -integrate_ds(curve, kap.values * dk**2 * V)
-    hterm = 0.5 * integrate_ds(curve, kap.values * dk**2 * V)
-    rhs = -q2 + bterm + hterm
-    floor = 1e-14 * max(1.0, abs(D0))
-    if dt is None:
-        dt = fd_scale * max(D0, floor) / max(abs(rhs), floor / fd_scale)
-    dp = _sd_dissipation_of(_advance(curve, V, +dt))
-    dm = _sd_dissipation_of(_advance(curve, V, -dt))
-    lhs = 0.5 * (dp - dm) / (2.0 * dt)
-    res, _ = criticality_residual(curve, 0.0)
-    return IdentityReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        relative_residual=_relative(lhs, rhs, floor),
-        terms={
-            "second_variation": -q2,
-            "second_fundamental": bterm,
-            "curvature_cubic": hterm,
-            "dissipation": D0,
-        },
-        criticality_sup=float(np.abs(res.values).max()),
-        dt_used=dt,
-        floor=floor,
-    )
+    bterm = -integrate_ds(curve, kdk2 * V)
+    hterm = 0.5 * integrate_ds(curve, kdk2 * V)
+    terms = {"second_variation": -q2, "second_fundamental": bterm, "curvature_cubic": hterm}
+    return _second_identity(ev, -q2 + bterm + hterm, terms, dt, fd_scale)
 
 
 def asymmetry_distance(curve, reference, grid_n=256, d_ref=None):

@@ -14,7 +14,9 @@ Two integrators:
   for the lower-order remainder.  This removes the stiffness cap and is the
   integrator for runs that must reach the decay time scale.
 
-The stopping monitor mirrors the proof-style surveillance: C^1 closeness to a
+Both read the flow law (V, the dissipation and the energy) from one
+`Evaluation` per curve, the same object the identity checks in
+`diagnostics` read.  The stopping monitor mirrors the proof-style surveillance: C^1 closeness to a
 reference via the height function, and a dissipation threshold; all stopping
 events are reported outcomes, not failures.
 """
@@ -22,11 +24,11 @@ events are reported outcomes, not failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import bie
-from .diagnostics import EnergyTrace
 from .errors import GraphFailure, ResolutionError, TopologyError
 from .fields import dirichlet_energy
 from .geometry import (
@@ -54,6 +56,64 @@ STIFF_CONST = {
     "ms": RK4_REAL_AXIS_LIMIT / (2.0 * np.pi**3),
 }
 DEFAULT_C_CFL = {"sd": 0.2, "ms": 0.5}
+AREA_TOL = 1e-7  # a state's area may miss its target by this much
+ADVECTIVE_FRACTION = 0.25  # max|V| dt <= ADVECTIVE_FRACTION * h
+
+TRACE_COLUMNS = (
+    "t",
+    "J",
+    "perimeter",
+    "nonlocal",
+    "area",
+    "dissipation",
+    "volume_correction",
+    "psi_c1",
+    "event",
+)
+
+
+@dataclass
+class EnergyTrace:
+    """Time series of energies and diagnostics along one run."""
+
+    rows: list = field(default_factory=list)
+    fitted: dict | None = None
+
+    def append_row(self, kw):
+        row = {k: kw.get(k, np.nan) for k in TRACE_COLUMNS}
+        row["event"] = kw.get("event", "")
+        row["identity1_residual"] = kw.get("identity1_residual", np.nan)
+        if self.rows and row["t"] <= self.rows[-1]["t"]:
+            raise ValueError("trace times must increase strictly")
+        self.rows.append(row)
+
+    def column(self, name):
+        return np.array([r[name] for r in self.rows], dtype=float if name != "event" else object)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def to_csv(self, path):
+        lines = [",".join(TRACE_COLUMNS)]
+        for r in self.rows:
+            vals = [f"{r[c]:.17g}" for c in TRACE_COLUMNS[:-1]] + [str(r["event"])]
+            lines.append(",".join(vals))
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    @classmethod
+    def from_csv(cls, path):
+        tr = cls()
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            for line in fh:
+                parts = line.rstrip("\n").split(",")
+                kw = {}
+                for name, val in zip(header, parts):
+                    kw[name] = val if name == "event" else float(val)
+                tr.rows.append({**{c: np.nan for c in TRACE_COLUMNS}, **kw,
+                                "identity1_residual": np.nan})
+        return tr
 
 
 @dataclass
@@ -62,8 +122,6 @@ class FlowParams:
     c_cfl: float | None = None  # fraction of the RK4 stability limit
     dt: float | None = None  # explicit step cap (ssd runs should set this)
     grid_n: int = 256
-    area_tol: float = 1e-7
-    advective_fraction: float = 0.25  # max|V| dt <= advective_fraction * h
 
 
 @dataclass
@@ -84,11 +142,18 @@ class FlowState:
             # surface diffusion is the gamma=0 gradient flow by definition
             self.gamma = 0.0
         self.area = enclosed_area(self.curve)
-        if abs(self.area - self.target_area) > self.params.area_tol:
+        if abs(self.area - self.target_area) > AREA_TOL:
             raise ValueError(
                 f"area {self.area:.10f} violates target {self.target_area:.10f} "
-                f"beyond tolerance {self.params.area_tol:.1e}"
+                f"beyond tolerance {AREA_TOL:.1e}"
             )
+
+    @property
+    def evaluation(self):
+        """The flow law at this state's curve, built on first use and kept in `cached`."""
+        if "eval" not in self.cached:
+            self.cached["eval"] = _evaluate(self)
+        return self.cached["eval"]
 
 
 def make_state(curve, flow_kind, gamma=0.0, params=None, time=0.0):
@@ -115,29 +180,81 @@ class StoppingMonitor:
             raise ValueError("monitor thresholds must be positive")
 
 
-def _evaluate(state, curve=None):
-    """Velocity plus energy bookkeeping at a curve (defaults to the state's).
+class Evaluation:
+    """The flow law at one curve; each quantity is computed on first read and kept.
 
-    The nonlocal energy is read only by the trace record of the state's own
-    curve, so the stage curves of a step (passed as `curve`) skip it and keep
-    no grid potential alive.
+    MS: V = [d_nu w] for the harmonic w with w = H + 4 gamma v_E on the curve,
+    D = int |Dw|^2 and J = perimeter + gamma int |Dv_E|^2.  SD: V = Lap_tau H,
+    D = int |d_s H|^2 and J = perimeter.  The grid potential v_E is computed
+    once, with the datum, and dropped as soon as the nonlocal energy has read
+    it, so the evaluation a state keeps after its record holds no grid.
     """
-    c = state.curve if curve is None else curve
-    if state.flow_kind == "sd":
-        # V = Lap_tau H has zero mean per loop, so the flow is volume preserving
-        kap = curvature(c)
-        V = surface_laplacian(c, kap).values
-        dk = arclength_derivative(c, kap).values
-        return {"V": V, "dissipation": integrate_ds(c, dk**2), "nonlocal": 0.0}
-    g, v = bie.ms_boundary_data(c, state.gamma, grid_n=state.params.grid_n)
-    sol = bie.solve_jump(c, g)
-    ev = {"V": sol.jump.values.copy(), "dissipation": sol.dissipation()}
-    if curve is None:
-        ev["nonlocal"] = 0.0 if v is None else state.gamma * dirichlet_energy(v)
-    return ev
+
+    def __init__(self, curve, flow_kind, gamma=0.0, grid_n=256):
+        self.curve = curve
+        self.flow_kind = flow_kind
+        self.gamma = gamma
+        self.grid_n = grid_n
+        self._potential = None
+
+    @cached_property
+    def kappa(self):
+        return curvature(self.curve)
+
+    @cached_property
+    def dkappa(self):
+        """Arclength derivative of the curvature, d_s H."""
+        return arclength_derivative(self.curve, self.kappa).values
+
+    @cached_property
+    def operator(self):
+        return bie.assemble_single_layer(self.curve)
+
+    @cached_property
+    def datum(self):
+        """H + 4 gamma v_E at the markers, the Dirichlet datum of the MS flow."""
+        g, self._potential = bie.ms_boundary_data(self.curve, self.gamma, grid_n=self.grid_n)
+        return g
+
+    @cached_property
+    def jump(self):
+        return bie.solve_jump(self.curve, self.datum, operator=self.operator)
+
+    @cached_property
+    def V(self):
+        if self.flow_kind == "sd":
+            # V = Lap_tau H has zero mean per loop, so the flow is volume preserving
+            return surface_laplacian(self.curve, self.kappa).values
+        return self.jump.jump.values
+
+    @cached_property
+    def dissipation(self):
+        if self.flow_kind == "sd":
+            return integrate_ds(self.curve, self.dkappa**2)
+        return self.jump.dissipation()
+
+    @cached_property
+    def nonlocal_energy(self):
+        """gamma int |Dv_E|^2, from the potential the datum computed."""
+        if self.flow_kind == "sd" or self.gamma == 0.0:
+            return 0.0
+        self.datum  # noqa: B018 - the potential comes with the datum, once
+        v, self._potential = self._potential, None
+        return self.gamma * dirichlet_energy(v)
+
+    @cached_property
+    def perimeter(self):
+        return perimeter(self.curve)
 
 
-def adaptive_dt(state, vmax=None):
+def _evaluate(state, curve=None):
+    """The flow law of the state at `curve` (defaults to the state's curve)."""
+    return Evaluation(
+        state.curve if curve is None else curve, state.flow_kind, state.gamma, state.params.grid_n
+    )
+
+
+def adaptive_dt(state):
     """Stability-capped step: c_cfl * C_stab * h^4 (sd) or h^3 (ms), further
     limited so max|V| dt stays below a fraction of the marker spacing."""
     p = state.params
@@ -150,14 +267,9 @@ def adaptive_dt(state, vmax=None):
         dt = c_cfl * STIFF_CONST[state.flow_kind] * h**power
         if p.dt is not None:
             dt = min(dt, p.dt)
-    if vmax is None:
-        ev = state.cached.get("eval")
-        if ev is None:
-            ev = _evaluate(state)
-            state.cached["eval"] = ev
-        vmax = float(np.abs(ev["V"]).max())
+    vmax = float(np.abs(state.evaluation.V).max())
     if vmax > 0:
-        dt = min(dt, p.advective_fraction * h / vmax)
+        dt = min(dt, ADVECTIVE_FRACTION * h / vmax)
     return float(dt)
 
 
@@ -182,16 +294,13 @@ def enforce_volume(curve, target_area):
 
 def _rk4_step(state, dt):
     c0 = state.curve
-    ev1 = state.cached.get("eval")
-    if ev1 is None:
-        ev1 = _evaluate(state)
-    k1 = ev1["V"][:, None] * c0.normals()
+    k1 = state.evaluation.V[:, None] * c0.normals()
     c2 = displace(c0, 0.5 * dt * k1)
-    k2 = _evaluate(state, c2)["V"][:, None] * c2.normals()
+    k2 = _evaluate(state, c2).V[:, None] * c2.normals()
     c3 = displace(c0, 0.5 * dt * k2)
-    k3 = _evaluate(state, c3)["V"][:, None] * c3.normals()
+    k3 = _evaluate(state, c3).V[:, None] * c3.normals()
     c4 = displace(c0, dt * k3)
-    k4 = _evaluate(state, c4)["V"][:, None] * c4.normals()
+    k4 = _evaluate(state, c4).V[:, None] * c4.normals()
     return displace(c0, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
@@ -251,7 +360,7 @@ def _ssd_linear_halfstep(loopdata, flow_kind, dt):
 def _ssd_rhs(state, loopdata):
     """Remainder dynamics of (theta_dev, L, mean) after subtracting the symbol."""
     curve = _reconstruct(loopdata)
-    V = _evaluate(state, curve)["V"]
+    V = _evaluate(state, curve).V
     out = []
     for ld, sl in zip(loopdata, curve.loop_slices()):
         n = ld["n"]
@@ -307,9 +416,9 @@ def _ssd_step(state, dt):
     return _reconstruct(loopdata)
 
 
-def step(state, dt, scheme=None):
+def step(state, dt):
     """Advance one step, keep markers equidistributed, restore the volume."""
-    scheme = scheme or state.params.scheme
+    scheme = state.params.scheme
     if scheme == "rk4":
         newc = _rk4_step(state, dt)
         newc = resample_equal_arclength(newc, state.curve.components[0].n)
@@ -348,28 +457,23 @@ def _psi_c1(curve, reference):
 
 
 def _record(state, trace, monitor, event=""):
-    ev = state.cached.get("eval")
-    if ev is None:
-        ev = _evaluate(state)
-        state.cached["eval"] = ev
-    per = perimeter(state.curve)
+    """Append the state's trace row; returns its C^1 distance (NaN without a reference)."""
+    ev = state.evaluation
+    row = {
+        "t": state.time,
+        "J": ev.perimeter + ev.nonlocal_energy,
+        "perimeter": ev.perimeter,
+        "nonlocal": ev.nonlocal_energy,
+        "area": state.area,
+        "dissipation": ev.dissipation,
+        "volume_correction": state.cached.get("volume_correction", 0.0),
+        "event": event,
+    }
     psi_c1 = np.nan
     if monitor is not None and monitor.reference is not None:
         psi_c1, _ = _psi_c1(state.curve, monitor.reference)
-    trace.append_row(
-        {
-            "t": state.time,
-            "J": per + ev["nonlocal"],
-            "perimeter": per,
-            "nonlocal": ev["nonlocal"],
-            "area": state.area,
-            "dissipation": ev["dissipation"],
-            "volume_correction": state.cached.get("volume_correction", 0.0),
-            "psi_c1": psi_c1,
-            "event": event,
-        }
-    )
-    return ev, psi_c1
+    trace.append_row({**row, "psi_c1": psi_c1})
+    return psi_c1
 
 
 def run(initial, monitor=None, t_end=1e-3, snapshot_every=0, max_steps=10**7):
@@ -385,7 +489,7 @@ def run(initial, monitor=None, t_end=1e-3, snapshot_every=0, max_steps=10**7):
     trace = EnergyTrace()
     snapshots = []
     try:
-        ev, psi_c1 = _record(state, trace, monitor)
+        psi_c1 = _record(state, trace, monitor)
     except GraphFailure as exc:
         # the initial state already fails the graph surveillance
         _record(state, trace, None, event="graph_failure")
@@ -393,15 +497,14 @@ def run(initial, monitor=None, t_end=1e-3, snapshot_every=0, max_steps=10**7):
     event = reason = ""
     steps = 0
     while state.time < t_end * (1.0 - 1e-12) and steps < max_steps:
-        vmax = float(np.abs(ev["V"]).max())
-        dt = min(adaptive_dt(state, vmax=vmax), t_end - state.time)
+        dt = min(adaptive_dt(state), t_end - state.time)
         if dt < 1e-16 * max(t_end, 1.0):
             event = "dt_underflow"
             break
         try:
             state = step(state, dt)
             steps += 1
-            ev, psi_c1 = _record(state, trace, monitor)
+            psi_c1 = _record(state, trace, monitor)
         except (GraphFailure, TopologyError, ResolutionError) as exc:
             event, reason = "graph_failure", f"{type(exc).__name__}: {exc}"
             break
@@ -411,7 +514,7 @@ def run(initial, monitor=None, t_end=1e-3, snapshot_every=0, max_steps=10**7):
             if np.isfinite(psi_c1) and psi_c1 >= monitor.eps0:
                 event = "c1_exceeded"
                 break
-            if ev["dissipation"] >= 2.0 * monitor.delta0:
+            if state.evaluation.dissipation >= 2.0 * monitor.delta0:
                 event = "dissipation_exceeded"
                 break
     if not event:

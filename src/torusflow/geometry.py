@@ -253,9 +253,6 @@ class PeriodicCurve:
     def normals(self):
         return np.vstack([lp.normal() for lp in self.components])
 
-    def tangents(self):
-        return np.vstack([lp.tangent() for lp in self.components])
-
     def arclength_weights(self):
         return self.concat(lambda lp: lp.arclength_weights())
 

@@ -80,11 +80,11 @@ def test_acceptance_1_stationary_equilibria():
     worst = {}
     circle = shapes.circle(0.2, n=256)
     lam = shapes.strip(0.5, offset=0.25, n=256)
-    worst["circle sd"] = np.abs(_evaluate(make_state(circle, "sd"))["V"]).max()
-    worst["circle ms"] = np.abs(_evaluate(make_state(circle, "ms"))["V"]).max()
-    worst["lamella sd"] = np.abs(_evaluate(make_state(lam, "sd"))["V"]).max()
+    worst["circle sd"] = np.abs(_evaluate(make_state(circle, "sd")).V).max()
+    worst["circle ms"] = np.abs(_evaluate(make_state(circle, "ms")).V).max()
+    worst["lamella sd"] = np.abs(_evaluate(make_state(lam, "sd")).V).max()
     worst["lamella ms g=1"] = np.abs(
-        _evaluate(make_state(lam, "ms", gamma=1.0, params=FlowParams(grid_n=256)))["V"]
+        _evaluate(make_state(lam, "ms", gamma=1.0, params=FlowParams(grid_n=256))).V
     ).max()
     elapsed = time.time() - t0
     ok = all(v <= 1e-6 for v in worst.values()) and elapsed < 10

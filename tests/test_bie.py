@@ -14,7 +14,6 @@ from torusflow.bie import (
     _series_terms,
     assemble_single_layer,
     green_regular_origin,
-    ms_normal_velocity,
     periodic_green_gradient,
     periodic_green_kernel,
     potential_normal_derivative,
@@ -22,7 +21,7 @@ from torusflow.bie import (
     write_jump_csv,
 )
 from torusflow.errors import SingularityError
-from torusflow.geometry import integrate_ds
+from torusflow.geometry import curvature, integrate_ds
 
 
 # -- kernel --------------------------------------------------------------------
@@ -237,8 +236,8 @@ def test_jump_solution_reports_rcond(circle_op):
 
 def test_circle_stationary_at_gamma_zero(circle_op):
     c, _ = circle_op
-    V, sol = ms_normal_velocity(c, 0.0)
-    assert np.abs(V.values).max() < 1e-8
+    sol = solve_jump(c, curvature(c))
+    assert np.abs(sol.jump.values).max() < 1e-8
     assert sol.dissipation() < 1e-12
 
 
@@ -291,8 +290,7 @@ def test_jump_spectral_refinement():
     vals = {}
     for n in (32, 64, 128, 256):
         c = shapes.perturbed_circle(0.2, 0.02, 3, n=n)
-        V, _ = ms_normal_velocity(c, 0.0)
-        vals[n] = V.values
+        vals[n] = solve_jump(c, curvature(c)).jump.values
     errs = [np.abs(vals[n] - vals[256][:: 256 // n]).max() for n in (32, 64, 128)]
     assert errs[0] / max(errs[1], 1e-13) > 10
     assert errs[1] / max(errs[2], 1e-13) > 10 or errs[2] < 1e-9
@@ -303,7 +301,7 @@ def test_perturbed_lamella_dispersion():
     # 2x2 strip mode system to a few percent at eps = 1e-4
     h, k, eps = 0.5, 1, 1e-4
     st = shapes.perturbed_strip(h, eps, k, n=256, which="top")
-    V, _ = ms_normal_velocity(st, 0.0)
+    V = solve_jump(st, curvature(st)).jump
     x = st.markers()[:, 0]
     sl = st.loop_slices()
     amp_top = 2 * np.mean(V.values[sl[1]] * np.sin(2 * np.pi * k * x[sl[1]]))
@@ -320,7 +318,7 @@ def test_dissipation_quadratic_in_eps():
     vals = []
     for eps in (2e-4, 1e-4):
         st = shapes.perturbed_strip(0.5, eps, 1, n=128)
-        _, sol = ms_normal_velocity(st, 0.0)
+        sol = solve_jump(st, curvature(st))
         vals.append(sol.dissipation())
     assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.05)
 
@@ -331,7 +329,7 @@ def test_dissipation_cross_check_with_grid():
     from torusflow.fields import dirichlet_energy
 
     st = shapes.perturbed_strip(0.5, 1e-2, 1, n=256)
-    _, sol = ms_normal_velocity(st, 0.0)
+    sol = solve_jump(st, curvature(st))
     vw = line_measure_potential(st, sol.density, n=512)
     assert dirichlet_energy(vw) == pytest.approx(sol.dissipation(), rel=1e-2)
 

@@ -1,21 +1,52 @@
 """Energy accounting, identities, distances, fits, Sobolev norms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from torusflow import shapes
 from torusflow.diagnostics import (
-    EnergyTrace,
     asymmetry_distance,
     discrete_sobolev_norm,
-    energy,
     fit_exponential,
     verify_first_identity,
     verify_second_identity_ms,
     verify_second_identity_sd,
 )
+from torusflow.flow import EnergyTrace, Evaluation
 from torusflow.geometry import CurveSamples
+
+
+def energy(curve, gamma):
+    """(J, perimeter, nonlocal contribution gamma*int|Dv_E|^2) of the MS evaluation."""
+    ev = Evaluation(curve, "ms", gamma)
+    return ev.perimeter + ev.nonlocal_energy, ev.perimeter, ev.nonlocal_energy
+
+
+def _fresh_interpreter(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_layering_flow_below_diagnostics():
+    # bie <- flow <- diagnostics: the diagnostics import on their own, and the
+    # flow does not pull them in
+    assert _fresh_interpreter("import torusflow.diagnostics; print('ok')") == "ok"
+    code = "import sys, torusflow.flow; print('torusflow.diagnostics' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_energy_values():

@@ -6,7 +6,9 @@ import pytest
 import oracles
 from torusflow import shapes
 from torusflow.flow import (
+    AREA_TOL,
     DEFAULT_C_CFL,
+    Evaluation,
     FlowParams,
     StoppingMonitor,
     _evaluate,
@@ -22,13 +24,13 @@ from torusflow.geometry import enclosed_area, height_function
 
 def test_stationary_circle_sd():
     st = make_state(shapes.circle(0.2, n=256), "sd")
-    assert np.abs(_evaluate(st)["V"]).max() < 1e-6
+    assert np.abs(_evaluate(st).V).max() < 1e-6
 
 
 def test_stationary_lamella_both():
     lam = shapes.strip(0.5, n=256)
-    assert np.abs(_evaluate(make_state(lam, "sd"))["V"]).max() < 1e-8
-    assert np.abs(_evaluate(make_state(lam, "ms", gamma=1.0))["V"]).max() < 1e-8
+    assert np.abs(_evaluate(make_state(lam, "sd")).V).max() < 1e-8
+    assert np.abs(_evaluate(make_state(lam, "ms", gamma=1.0)).V).max() < 1e-8
 
 
 def test_sd_gamma_forced_zero():
@@ -39,7 +41,7 @@ def test_sd_gamma_forced_zero():
 def test_sd_linearized_velocity():
     eps, k = 1e-4, 2
     p = shapes.perturbed_strip(0.5, eps, k, n=256)
-    V = _evaluate(make_state(p, "sd"))["V"]
+    V = _evaluate(make_state(p, "sd")).V
     x = p.markers()[:, 0]
     sl = p.loop_slices()
     amp = 2 * np.mean(V[sl[1]] * np.sin(2 * np.pi * k * x[sl[1]]))
@@ -88,14 +90,14 @@ def test_enforce_volume():
 
 
 def test_step_checks_area_after_volume_correction():
-    # the raw SSD step drifts the area by more than area_tol; the stepped state
+    # the raw SSD step drifts the area by more than AREA_TOL; the stepped state
     # is built from the volume-corrected curve, so the run completes
     p = shapes.perturbed_circle(0.2, 0.03, 3, n=64)
     st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-4))
     res = run(st, t_end=1e-3)
     assert res.event == "completed"
     drift = np.abs(res.trace.column("volume_correction")) * res.trace.column("perimeter")
-    assert drift.max() > st.params.area_tol
+    assert drift.max() > AREA_TOL
     A = res.trace.column("area")
     assert np.abs(A - A[0]).max() < 1e-8
 
@@ -183,6 +185,32 @@ def test_nonlocal_energy_only_at_records(monkeypatch):
     assert len(calls) == 3
 
 
+def test_evaluation_computes_each_quantity_once(monkeypatch):
+    # one grid potential per evaluation whichever of D and the nonlocal energy
+    # is read first; a gamma=0 MS SSD run solves one jump system per record
+    # and one per stage (two per step)
+    import torusflow.bie as bie_mod
+
+    potentials, jumps = [], []
+    potential, solve = bie_mod.potential_of_set, bie_mod.solve_jump
+    monkeypatch.setattr(bie_mod, "potential_of_set",
+                        lambda *a, **k: potentials.append(1) or potential(*a, **k))
+    monkeypatch.setattr(bie_mod, "solve_jump", lambda *a, **k: jumps.append(1) or solve(*a, **k))
+    strip = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
+    for order in (("nonlocal_energy", "dissipation"), ("dissipation", "nonlocal_energy")):
+        potentials.clear()
+        ev = Evaluation(strip, "ms", gamma=1.0, grid_n=128)
+        for name in order + order:
+            getattr(ev, name)
+        assert len(potentials) == 1
+        assert ev.nonlocal_energy > 0
+    jumps.clear()
+    st = make_state(strip, "ms", params=FlowParams(scheme="ssd", dt=2e-5))
+    res = run(st, t_end=3 * 2e-5)
+    assert res.event == "completed" and len(res.trace) == 4
+    assert len(jumps) == 1 + 3 * 3
+
+
 def test_record_reads_state_area(monkeypatch):
     # a stepped state's area check computes the area its record reads, so each
     # step computes it twice: the volume correction and the state's check
@@ -214,8 +242,8 @@ def test_run_determinism():
 def test_tilted_lamella_stationary_and_steppable():
     # diagonal winding (1,1): flat geodesic, stationary for both flows
     tilted = shapes.strip(0.3, angle=45, n=128)
-    assert np.abs(_evaluate(make_state(tilted, "sd"))["V"]).max() < 1e-8
-    assert np.abs(_evaluate(make_state(tilted, "ms", gamma=1.0))["V"]).max() < 1e-7
+    assert np.abs(_evaluate(make_state(tilted, "sd")).V).max() < 1e-8
+    assert np.abs(_evaluate(make_state(tilted, "ms", gamma=1.0)).V).max() < 1e-7
     st = make_state(tilted, "sd", params=FlowParams(scheme="ssd", dt=1e-5))
     res = run(st, t_end=5e-5)
     assert res.event == "completed"
