@@ -33,13 +33,13 @@ def modal_fit(kind, mode, which, rate, n=128, steps=40):
     )
     ts, amps = [0.0], []
     amps.append(
-        2 * np.mean(height_function(state.curve, ref).values[sl] * np.sin(2 * np.pi * mode * x[sl]))
+        2 * np.mean(height_function(state.curve, ref)[sl] * np.sin(2 * np.pi * mode * x[sl]))
     )
     for _ in range(steps):
         state = step(state, 0.1 / rate)
         ts.append(state.time)
         amps.append(
-            2 * np.mean(height_function(state.curve, ref).values[sl] * np.sin(2 * np.pi * mode * x[sl]))
+            2 * np.mean(height_function(state.curve, ref)[sl] * np.sin(2 * np.pi * mode * x[sl]))
         )
     fitted, _ = fit_exponential(np.array(ts), np.abs(amps))
     return fitted

@@ -20,7 +20,6 @@ from .errors import (
     TorusflowError,
 )
 from .geometry import (
-    CurveSamples,
     MarkerLoop,
     PeriodicCurve,
     arclength_derivative,
@@ -41,7 +40,6 @@ __all__ = [
     "SingularityError",
     "TopologyError",
     "TorusflowError",
-    "CurveSamples",
     "MarkerLoop",
     "PeriodicCurve",
     "arclength_derivative",

@@ -24,8 +24,10 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import ResolutionError, SingularityError
 from .fields import potential_of_set
-from .geometry import CurveSamples, curvature, integrate_ds
+from .geometry import curvature, integrate_ds
 
+# solve_jump refuses a system whose estimated 1-norm condition number exceeds this.
+COND_LIMIT = 1e12
 _GREEN_SERIES_TERMS = 12
 # C_m = 1 / ((1 - e^(-2 pi m)) 2 pi m), m = 1.._GREEN_SERIES_TERMS: the Fourier
 # coefficients of the periodic correction to the cylinder kernel.
@@ -168,12 +170,10 @@ class SingleLayerOperator:
     def apply(self, sigma):
         return self.kernel @ (self.weights * np.asarray(sigma))
 
-    def quadratic_form(self, phi, psi=None):
-        """Double integral of G against two densities (the nonlocal pairing)."""
-        psi = phi if psi is None else psi
-        return float(
-            (self.weights * np.asarray(phi)) @ (self.kernel @ (self.weights * np.asarray(psi)))
-        )
+    def quadratic_form(self, phi):
+        """Double integral of G against the density phi twice (the nonlocal pairing)."""
+        wphi = self.weights * np.asarray(phi)
+        return float(wphi @ (self.kernel @ wphi))
 
 
 def assemble_single_layer(curve):
@@ -218,7 +218,7 @@ def potential_normal_derivative(curve, operator=None):
     nu = curve.normals()
     gx = op.apply(nu[:, 0])
     gy = op.apply(nu[:, 1])
-    return CurveSamples(-2.0 * (gx * nu[:, 0] + gy * nu[:, 1]), kind="boundary-data")
+    return -2.0 * (gx * nu[:, 0] + gy * nu[:, 1])
 
 
 def adjoint_double_layer(curve):
@@ -235,7 +235,7 @@ def adjoint_double_layer(curve):
     z[eye] = 0.25  # dummy separation; the diagonal is overwritten below
     grad = periodic_green_gradient(z)
     kmat = grad[..., 0] * nu[:, None, 0] + grad[..., 1] * nu[:, None, 1]
-    kmat[eye] = -curvature(curve).values / (4.0 * np.pi)
+    kmat[eye] = -curvature(curve) / (4.0 * np.pi)
     return kmat
 
 
@@ -248,38 +248,36 @@ class JumpSolution:
     """
 
     curve: object
-    boundary_data: CurveSamples
-    density: CurveSamples  # single-layer density sigma, zero weighted mean
-    jump: CurveSamples  # [d_nu w] = -sigma
+    boundary_data: np.ndarray
+    density: np.ndarray  # single-layer density sigma, zero weighted mean
+    jump: np.ndarray  # [d_nu w] = -sigma
     additive_constant: float
-    weights: np.ndarray = None
-    rcond: float = np.nan  # gecon reciprocal 1-norm condition estimate; NaN if not checked
+    weights: np.ndarray
+    rcond: float  # gecon reciprocal 1-norm condition estimate
     _ks: np.ndarray = None
 
     def _adjoint_apply(self):
         if self._ks is None:
             kstar = adjoint_double_layer(self.curve)
-            self._ks = kstar @ (self.weights * self.density.values)
+            self._ks = kstar @ (self.weights * self.density)
         return self._ks
 
     @property
     def one_sided_plus(self):
-        return CurveSamples(self._adjoint_apply() - 0.5 * self.density.values,
-                            kind="boundary-data")
+        return self._adjoint_apply() - 0.5 * self.density
 
     @property
     def one_sided_minus(self):
-        return CurveSamples(self._adjoint_apply() + 0.5 * self.density.values,
-                            kind="boundary-data")
+        return self._adjoint_apply() + 0.5 * self.density
 
     def dissipation(self):
         """int |Dw|^2 = -int_boundary g [d_nu w] ds (nonnegative)."""
-        return -integrate_ds(self.curve, self.boundary_data.values * self.jump.values)
+        return -integrate_ds(self.curve, self.boundary_data * self.jump)
 
 
-def solve_jump(curve, g, operator=None, cond_limit=1e12, check_condition=True):
+def solve_jump(curve, g, operator=None):
     """Solve S[sigma] + c = g with int sigma ds = 0; return the jump bundle."""
-    gv = np.asarray(curve.require_samples(g), dtype=float)
+    gv = curve.require_samples(g)
     if not np.all(np.isfinite(gv)):
         raise ValueError("boundary data must be finite")
     op = operator if operator is not None else assemble_single_layer(curve)
@@ -290,22 +288,20 @@ def solve_jump(curve, g, operator=None, cond_limit=1e12, check_condition=True):
     A[n, :n] = op.weights
     rhs = np.concatenate([gv, [0.0]])
     lu, piv = lu_factor(A)
-    rcond = np.nan
-    if check_condition:
-        gecon = get_lapack_funcs("gecon", (A,))
-        rcond = gecon(lu, np.linalg.norm(A, 1))[0]
-        if rcond < 1.0 / cond_limit:
-            raise ResolutionError(
-                f"single-layer system condition ~{1.0 / max(rcond, 1e-300):.2e}; "
-                "increase the marker count"
-            )
+    gecon = get_lapack_funcs("gecon", (A,))
+    rcond = gecon(lu, np.linalg.norm(A, 1))[0]
+    if rcond < 1.0 / COND_LIMIT:
+        raise ResolutionError(
+            f"single-layer system condition ~{1.0 / max(rcond, 1e-300):.2e}; "
+            "increase the marker count"
+        )
     sol = lu_solve((lu, piv), rhs)
     sigma, c = sol[:n], float(sol[n])
     return JumpSolution(
         curve=curve,
-        boundary_data=CurveSamples(gv, kind="boundary-data"),
-        density=CurveSamples(sigma, kind="density"),
-        jump=CurveSamples(-sigma, kind="velocity"),
+        boundary_data=gv,
+        density=sigma,
+        jump=-sigma,
         additive_constant=c,
         weights=op.weights,
         rcond=float(rcond),
@@ -316,12 +312,11 @@ def ms_boundary_data(curve, gamma, grid_n=256):
     """(g, v) with g = H + 4 gamma v_E at the markers, the Dirichlet datum of
     the MS flow; v is the grid potential v_E, None at gamma = 0.  The flow and
     the criticality residual take the datum from here."""
-    kap = curvature(curve).values
+    kap = curvature(curve)
     if gamma == 0.0:
-        return CurveSamples(kap, kind="boundary-data"), None
+        return kap, None
     v, trace = potential_of_set(curve, n=grid_n)
-    g = kap + 4.0 * gamma * trace.values
-    return CurveSamples(g, kind="boundary-data"), v
+    return kap + 4.0 * gamma * trace, v
 
 
 def write_jump_csv(solution, path):
@@ -334,10 +329,9 @@ def write_jump_csv(solution, path):
         for j in range(lp.n):
             k = pos + j
             lines.append(
-                f"{li},{j},{s[j]:.17g},{solution.boundary_data.values[k]:.17g},"
-                f"{solution.density.values[k]:.17g},{solution.jump.values[k]:.17g},"
-                f"{solution.one_sided_plus.values[k]:.17g},"
-                f"{solution.one_sided_minus.values[k]:.17g}"
+                f"{li},{j},{s[j]:.17g},{solution.boundary_data[k]:.17g},"
+                f"{solution.density[k]:.17g},{solution.jump[k]:.17g},"
+                f"{solution.one_sided_plus[k]:.17g},{solution.one_sided_minus[k]:.17g}"
             )
         pos += lp.n
     with open(path, "w") as fh:

@@ -25,10 +25,12 @@ from .config import (
     config_hash,
     load_config,
     _getfloat,
+    _getfloats,
     _getint,
+    _getint_at_least,
 )
 from .errors import ConfigError, TorusflowError
-from .geometry import read_snapshot, write_snapshot
+from .geometry import height_function, read_snapshot, write_snapshot
 
 
 def _outdir(cp):
@@ -40,14 +42,12 @@ def _outdir(cp):
 def _summary_norms(state, reference):
     if reference is None:
         return {}
-    from .geometry import height_function
-
     try:
         psi = height_function(state.curve, reference)
     except TorusflowError:
         return {"psi_norms": None}
     return {
-        "psi_sup": float(np.abs(psi.values).max()),
+        "psi_sup": float(np.abs(psi).max()),
         "psi_w52": diag.discrete_sobolev_norm(psi, reference, 2.5),
         "psi_w3": diag.discrete_sobolev_norm(psi, reference, 3.0),
     }
@@ -65,7 +65,7 @@ def cmd_simulate(cp):
         monitor=monitor,
         t_end=t_end,
         snapshot_every=_getint(cp, "output", "snapshot_every") or 0,
-        max_steps=_getint(cp, "flow", "max_steps"),
+        max_steps=_getint_at_least(cp, "flow", "max_steps", 1),
     )
     h = config_hash(cp)
     out = _outdir(cp)
@@ -120,9 +120,15 @@ def cmd_simulate(cp):
 
 def cmd_stability(cp):
     curve, _ = build_geometry(cp)
-    gammas = [float(t) for t in cp.get("stability", "gammas").split(",") if t.strip()]
-    n_modes = _getint(cp, "stability", "n_modes")
+    gammas = _getfloats(cp, "stability", "gammas")
+    n_modes = _getint_at_least(cp, "stability", "n_modes", 1)
     grid_n = build_grid_n(cp)
+    k_max = _getint(cp, "stability", "k_max")
+    if k_max:
+        lamella_h = _getfloat(cp, "stability", "lamella_h")
+        if lamella_h is None or not 0.0 < lamella_h < 1.0:
+            raise ConfigError("stability.lamella_h must lie in (0, 1)")
+        n_per_loop = _getint_at_least(cp, "stability", "n_per_loop", 16)
     h = config_hash(cp)
     out = _outdir(cp)
     reports = []
@@ -148,7 +154,6 @@ def cmd_stability(cp):
                 f"second-variation spectrum, gamma={g:g}",
                 hash_comment=h,
             )
-    k_max = _getint(cp, "stability", "k_max")
     table = None
     if k_max:
         cache = {}
@@ -159,8 +164,8 @@ def cmd_stability(cp):
                 table[f"{g:g}"] = variation.lamella_threshold(
                     g,
                     k_max=k_max,
-                    h=_getfloat(cp, "stability", "lamella_h"),
-                    n_per_loop=_getint(cp, "stability", "n_per_loop"),
+                    h=lamella_h,
+                    n_per_loop=n_per_loop,
                     n_modes=n_modes,
                     grid_n=grid_n,
                     cache=cache,
@@ -175,7 +180,8 @@ def cmd_verify(cp):
     curve, base = build_geometry(cp)
     state = build_flow_state(cp, curve)
     kind = state.flow_kind
-    steps = _getint(cp, "verify", "steps")
+    # the first identity's centered difference needs three records
+    steps = _getint_at_least(cp, "verify", "steps", 2)
     dt = _getfloat(cp, "verify", "dt")
     h = config_hash(cp)
     out = _outdir(cp)

@@ -138,18 +138,35 @@ def _getint(cp, section, key):
     v = _getfloat(cp, section, key)
     if v is None:
         return None
-    if v != int(v):
+    if not v.is_integer():
         raise ConfigError(f"{section}.{key}: expected an integer, got '{v}'")
     return int(v)
+
+
+def _getint_at_least(cp, section, key, low):
+    """section.key as an integer >= low; an empty or smaller value is a config error."""
+    v = _getint(cp, section, key)
+    if v is None or v < low:
+        raise ConfigError(f"{section}.{key} must be an integer >= {low}")
+    return v
+
+
+def _getfloats(cp, section, key):
+    """The comma-separated numbers of section.key; empty items are skipped."""
+    raw = cp.get(section, key).strip()
+    try:
+        return [float(t) for t in raw.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: not a list of numbers: '{raw}'") from exc
 
 
 def build_geometry(cp):
     """Construct the scenario curve (and the unperturbed base when one exists)."""
     g = cp["geometry"]
-    n = _getint(cp, "geometry", "n_markers")
-    if n is None or n < 16:
-        raise ConfigError("geometry.n_markers must be >= 16")
-    center = tuple(float(t) for t in g.get("center").split(","))
+    n = _getint_at_least(cp, "geometry", "n_markers", 16)
+    center = _getfloats(cp, "geometry", "center")
+    if len(center) != 2:
+        raise ConfigError("geometry.center must be two numbers x,y")
     typ = g.get("type").strip()
     base = None
 

@@ -9,15 +9,17 @@ with centered differences across virtually advanced states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .fields import _crossing_fill
 from .flow import Evaluation
-from .geometry import CurveSamples, integrate_ds, resample_equal_arclength, signed_distance_grid
+from .geometry import integrate_ds, resample_equal_arclength, signed_distance_grid
 from .shapes import graph_over
-from .variation import criticality_residual, second_variation_direct
+from .variation import second_variation_direct
+
+RELATIVE_FLOOR = 1e-14  # relative residuals divide by at least this share of the scale
 
 
 @dataclass
@@ -34,23 +36,14 @@ class IdentityReport:
     floor: float
 
     def to_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "relative_residual": self.relative_residual,
-            "terms": self.terms,
-            "criticality_sup": self.criticality_sup,
-            "dt_used": self.dt_used,
-            "floor": self.floor,
-        }
+        return asdict(self)
 
 
 def _relative(lhs, rhs, floor):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
 
 
-def verify_first_identity(trace, floor=1e-14):
+def verify_first_identity(trace):
     """Centered -dJ/dt against the recorded dissipation, per interior record.
 
     Returns a dict with the residual series and its max/median; the trace rows
@@ -61,7 +54,7 @@ def verify_first_identity(trace, floor=1e-14):
     t = trace.column("t")
     J = trace.column("J")
     D = trace.column("dissipation")
-    scale = floor * max(1.0, np.nanmax(np.abs(D)))
+    scale = RELATIVE_FLOOR * max(1.0, np.nanmax(np.abs(D)))
     res = []
     for i in range(1, len(t) - 1):
         lhs = -(J[i + 1] - J[i - 1]) / (t[i + 1] - t[i - 1])
@@ -77,7 +70,7 @@ def verify_first_identity(trace, floor=1e-14):
 
 
 def _advance(curve, speed, dt):
-    moved = graph_over(curve, CurveSamples(np.asarray(speed) * dt))
+    moved = graph_over(curve, speed * dt)
     return resample_equal_arclength(moved, curve.components[0].n)
 
 
@@ -91,7 +84,7 @@ def _second_identity(ev, rhs, terms, dt, fd_scale):
     is neither stiff-limited nor drowned by quadrature noise.
     """
     D0 = ev.dissipation
-    floor = 1e-14 * max(1.0, abs(D0))
+    floor = RELATIVE_FLOOR * max(1.0, abs(D0))
     if dt is None:
         dt = fd_scale * max(D0, floor) / max(abs(rhs), floor / fd_scale)
     dp, dm = (
@@ -99,14 +92,14 @@ def _second_identity(ev, rhs, terms, dt, fd_scale):
         for s in (1.0, -1.0)
     )
     lhs = 0.5 * (dp - dm) / (2.0 * dt)
-    res, _ = criticality_residual(ev.curve, ev.gamma, grid_n=ev.grid_n)
+    res, _ = ev.criticality
     return IdentityReport(
         lhs=lhs,
         rhs=rhs,
         residual=lhs - rhs,
         relative_residual=_relative(lhs, rhs, floor),
         terms={**terms, "dissipation": D0},
-        criticality_sup=float(np.abs(res.values).max()),
+        criticality_sup=float(np.abs(res).max()),
         dt_used=dt,
         floor=floor,
     )
@@ -116,10 +109,8 @@ def verify_second_identity_ms(curve, gamma=0.0, dt=None, grid_n=256, fd_scale=5e
     """Check d/dt (1/2 int |Dw|^2) = -Q[[d_nu w]] + (1/2) int (d_nu w+ + d_nu w-)[d_nu w]^2."""
     ev = Evaluation(curve, "ms", gamma, grid_n)
     sol, jump = ev.jump, ev.V
-    q2 = second_variation_direct(curve, gamma, CurveSamples(jump), operator=ev.operator)
-    cubic = 0.5 * integrate_ds(
-        curve, (sol.one_sided_plus.values + sol.one_sided_minus.values) * jump**2
-    )
+    q2 = second_variation_direct(ev, jump)
+    cubic = 0.5 * integrate_ds(curve, (sol.one_sided_plus + sol.one_sided_minus) * jump**2)
     terms = {"second_variation": -q2, "cubic": cubic}
     return _second_identity(ev, -q2 + cubic, terms, dt, fd_scale)
 
@@ -129,8 +120,8 @@ def verify_second_identity_sd(curve, dt=None, fd_scale=5e-3):
     -Q[Lap_tau H] - int kappa |d_s H|^2 Lap_tau H + (1/2) int H |d_s H|^2 Lap_tau H
     with the 2D reduction B[D_tau H] = kappa |d_s H|^2."""
     ev = Evaluation(curve, "sd")
-    V, kdk2 = ev.V, ev.kappa.values * ev.dkappa**2
-    q2 = second_variation_direct(curve, 0.0, CurveSamples(V))
+    V, kdk2 = ev.V, ev.kappa * ev.dkappa**2
+    q2 = second_variation_direct(ev, V)
     bterm = -integrate_ds(curve, kdk2 * V)
     hterm = 0.5 * integrate_ds(curve, kdk2 * V)
     terms = {"second_variation": -q2, "second_fundamental": bterm, "curvature_cubic": hterm}
@@ -148,28 +139,19 @@ def asymmetry_distance(curve, reference, grid_n=256, d_ref=None):
     chi_e = _crossing_fill(curve, grid_n) > 0
     chi_f = _crossing_fill(reference, grid_n) > 0
     mask = chi_e != chi_f
-    D = float(np.mean(np.abs(d_ref.values) * mask))
+    D = float(np.mean(np.abs(d_ref) * mask))
     return D, float(np.mean(mask))
 
 
-def fit_exponential(trace_or_t, column=None, window=None):
-    """Least squares on log(column) vs t; returns (c0, r2) with c0 = -slope.
-
-    Accepts an EnergyTrace plus a column name, or two arrays (t, values).
-    """
-    if column is None:
-        raise ValueError("column required")
-    if isinstance(column, str):
-        t = trace_or_t.column("t")
-        y = trace_or_t.column(column)
-    else:
-        t = np.asarray(trace_or_t, dtype=float)
-        y = np.asarray(column, dtype=float)
+def fit_exponential(t, values, window=None):
+    """Least squares on log(values) vs t; returns (c0, r2) with c0 = -slope."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(values, dtype=float)
     if window is not None:
         sel = (t >= window[0]) & (t <= window[1])
         t, y = t[sel], y[sel]
     if np.any(y <= 0):
-        raise ValueError("column must be positive on the fit window")
+        raise ValueError("values must be positive on the fit window")
     if t.size < 2:
         raise ValueError("need at least two samples to fit")
     ly = np.log(y)
@@ -188,7 +170,7 @@ def discrete_sobolev_norm(psi, reference, order):
     k = 2 pi m / L is the physical wavenumber of mode m on a loop of length L;
     psi is sampled at the reference markers.
     """
-    vals = np.asarray(reference.require_samples(psi), dtype=float)
+    vals = reference.require_samples(psi)
     total = 0.0
     for lp, sl in zip(reference.components, reference.loop_slices()):
         L = lp.length()

@@ -1,44 +1,22 @@
 """Doubly periodic scalar fields on T^2 and the spectral Poisson machinery.
 
-Grid convention: an n x n field samples the nodes (i/n, j/n) with the FIRST
-index along x.  The module is deliberately free of the coupling constant
-gamma so potentials can be reused across gamma sweeps.
+Grid convention: a field is an n x n float array sampling the nodes (i/n, j/n)
+with the FIRST index along x.  The module is deliberately free of the coupling
+constant gamma so potentials can be reused across gamma sweeps.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import ResolutionError
-from .geometry import CurveSamples, _all_segments, signed_distance_points
+from .geometry import _all_segments, signed_distance_points
 
-
-@dataclass
-class GridField:
-    """n x n nodal samples of a scalar field on the unit torus."""
-
-    values: np.ndarray
-    zero_mean: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("GridField values must be square")
-        if self.zero_mean:
-            scale = np.abs(self.values).max()
-            if scale > 0 and abs(self.values.mean()) > 1e-12 * scale:
-                raise ValueError("zero_mean field has a nonzero mean")
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    def mean(self):
-        return float(self.values.mean())
+# The indicator's erf transition spans about this many grid cells.
+INDICATOR_WIDTH = 1.5
 
 
 @functools.lru_cache(maxsize=8)
@@ -53,18 +31,19 @@ def _wavenumbers(n):
 
 
 def solve_poisson_zero_mean(rhs):
-    """Spectral solve of -Lap v = rhs - mean(rhs) with zero-mean v."""
-    _, _, k2 = _wavenumbers(rhs.n)
-    rh = np.fft.fft2(rhs.values)
+    """Spectral solve of -Lap v = rhs - mean(rhs); v has zero mean because its
+    k = 0 mode is zeroed."""
+    _, _, k2 = _wavenumbers(rhs.shape[0])
+    rh = np.fft.fft2(rhs)
     vh = np.divide(rh, k2, out=np.zeros_like(rh), where=k2 != 0)
-    return GridField(values=np.fft.ifft2(vh).real, zero_mean=True)
+    return np.fft.ifft2(vh).real
 
 
 def dirichlet_energy(field):
     """Integral of |Dv|^2 over the torus by Parseval."""
-    n = field.n
+    n = field.shape[0]
     _, _, k2 = _wavenumbers(n)
-    c = np.fft.fft2(field.values) / n**2
+    c = np.fft.fft2(field) / n**2
     return float(np.sum(k2 * np.abs(c) ** 2))
 
 
@@ -193,21 +172,21 @@ def _band_distances(curve, n, cutoff):
     return idx, best[idx] * np.where(side[idx] > 0, -1.0, 1.0)
 
 
-def rasterize_indicator(curve, n, width=1.5):
+def rasterize_indicator(curve, n):
     """u_E on the grid: +1 inside, -1 outside, erf profile across the interface.
 
-    The transition has slope 2/(width*h) at the interface, i.e. it spans about
-    `width` grid cells.
+    The transition has slope 2/(INDICATOR_WIDTH*h) at the interface, i.e. it
+    spans about INDICATOR_WIDTH grid cells.
     """
     if n < 128:
         raise ResolutionError("rasterization grid must have n >= 128")
     sign = _crossing_fill(curve, n)
     h = 1.0 / n
-    cutoff = 4.0 * width * h
+    cutoff = 4.0 * INDICATOR_WIDTH * h
     idx, d = _band_distances(curve, n, cutoff)
     vals = sign.ravel().copy()
-    vals[idx] = -erf(np.sqrt(np.pi) * d / (width * h))
-    return GridField(values=vals.reshape(n, n), zero_mean=False)
+    vals[idx] = -erf(np.sqrt(np.pi) * d / (INDICATOR_WIDTH * h))
+    return vals.reshape(n, n)
 
 
 # -- traces --------------------------------------------------------------------
@@ -230,13 +209,12 @@ def interpolate_grid(field_values, points):
     return np.einsum("pk,pk->p", ex @ c, ey).real
 
 
-def potential_of_set(curve, n=256, width=1.5):
-    """Zero-mean torus potential v_E of the phase indicator, plus its curve trace.
+def potential_of_set(curve, n=256):
+    """(v, trace): the zero-mean torus potential v_E of the phase indicator on
+    the n x n grid and its values at the markers.
 
     The trace is the exact value of the grid potential's trigonometric
     interpolant at the markers.
     """
-    u = rasterize_indicator(curve, n, width=width)
-    v = solve_poisson_zero_mean(u)
-    tr = interpolate_grid(v.values, curve.markers())
-    return v, CurveSamples(tr, kind="boundary-data")
+    v = solve_poisson_zero_mean(rasterize_indicator(curve, n))
+    return v, interpolate_grid(v, curve.markers())

@@ -188,6 +188,7 @@ class Evaluation:
     D = int |d_s H|^2 and J = perimeter.  The grid potential v_E is computed
     once, with the datum, and dropped as soon as the nonlocal energy has read
     it, so the evaluation a state keeps after its record holds no grid.
+    `variation` and `diagnostics` read the criticality residual and d_nu v_E.
     """
 
     def __init__(self, curve, flow_kind, gamma=0.0, grid_n=256):
@@ -204,17 +205,29 @@ class Evaluation:
     @cached_property
     def dkappa(self):
         """Arclength derivative of the curvature, d_s H."""
-        return arclength_derivative(self.curve, self.kappa).values
+        return arclength_derivative(self.curve, self.kappa)
 
     @cached_property
     def operator(self):
         return bie.assemble_single_layer(self.curve)
 
     @cached_property
+    def potential_derivative(self):
+        """d_nu v_E at the markers, through the evaluation's single layer."""
+        return bie.potential_normal_derivative(self.curve, self.operator)
+
+    @cached_property
     def datum(self):
         """H + 4 gamma v_E at the markers, the Dirichlet datum of the MS flow."""
         g, self._potential = bie.ms_boundary_data(self.curve, self.gamma, grid_n=self.grid_n)
         return g
+
+    @cached_property
+    def criticality(self):
+        """(datum - lambda, lambda) with lambda the datum's arclength mean; the
+        curve is critical when the residual vanishes."""
+        lam = integrate_ds(self.curve, self.datum) / self.perimeter
+        return self.datum - lam, float(lam)
 
     @cached_property
     def jump(self):
@@ -224,8 +237,8 @@ class Evaluation:
     def V(self):
         if self.flow_kind == "sd":
             # V = Lap_tau H has zero mean per loop, so the flow is volume preserving
-            return surface_laplacian(self.curve, self.kappa).values
-        return self.jump.jump.values
+            return surface_laplacian(self.curve, self.kappa)
+        return self.jump.jump
 
     @cached_property
     def dissipation(self):
@@ -424,7 +437,7 @@ def step(state, dt):
         newc = resample_equal_arclength(newc, state.curve.components[0].n)
     elif scheme == "ssd":
         newc = _ssd_step(state, dt)
-        newc.validate(check_intersections=True, probe_area=False)
+        newc.validate(probe_area=False)
     else:
         raise ValueError(f"unknown scheme '{scheme}'")
     # the stepped state is built from the corrected curve, so its area check
@@ -446,14 +459,13 @@ def _psi_c1(curve, reference):
     """sup|psi| + sup|psi'| with the derivative taken both spectrally and by
     finite differences (the conservative max of the two estimates)."""
     psi = height_function(curve, reference)
-    vals = psi.values
-    dpsi_spec = arclength_derivative(reference, psi).values
+    dpsi_spec = arclength_derivative(reference, psi)
     fd = [
         np.gradient(part, lp.length() / lp.n)
-        for part, lp in zip(reference.split(vals), reference.components)
+        for part, lp in zip(reference.split(psi), reference.components)
     ]
     dmax = max(float(np.abs(dpsi_spec).max()), float(np.abs(np.concatenate(fd)).max()))
-    return float(np.abs(vals).max()) + dmax, psi
+    return float(np.abs(psi).max()) + dmax, psi
 
 
 def _record(state, trace, monitor, event=""):

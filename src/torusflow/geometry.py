@@ -21,7 +21,6 @@ All operations are pure; curves are treated as immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +38,10 @@ SPECTRAL_FILTER_REL = 1e-13
 # relative to the mean speed L/2pi, exceeds this is too coarse to resample: its
 # trigonometric interpolant no longer carries the curve (and its area).
 RESAMPLE_TAIL_MAX = 1e-3
+RESAMPLE_PASSES = 3  # resampling passes at most; later ones tighten a far-from-arclength input
+AREA_PROBES = 24  # the orientation probe of enclosed_area samples an AREA_PROBES^2 grid
+DISTANCE_CHUNK = 4096  # points per brute-force block of signed_distance_points
+HEIGHT_TOL = 1e-10  # residual |x_curve - x_ref - t nu_ref| at which a height has converged
 
 
 def _modes(n):
@@ -206,20 +209,6 @@ class MarkerLoop:
         return 1 if self._area_raw() >= 0 else -1
 
 
-@dataclass
-class CurveSamples:
-    """Per-marker scalar (or vector) samples aligned with the marker order."""
-
-    values: np.ndarray
-    kind: str = "generic"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    def __len__(self):
-        return self.values.shape[0]
-
-
 class PeriodicCurve:
     """Oriented interface on T^2: one or more disjoint marker loops."""
 
@@ -257,15 +246,16 @@ class PeriodicCurve:
         return self.concat(lambda lp: lp.arclength_weights())
 
     def split(self, samples):
-        vals = samples.values if isinstance(samples, CurveSamples) else np.asarray(samples)
+        vals = np.asarray(samples)
         return [vals[s] for s in self.loop_slices()]
 
     def require_samples(self, samples):
+        """Per-marker samples as a float array, checked against the marker count."""
         if len(samples) != self.n_markers:
             raise ValueError(
                 f"samples length {len(samples)} does not match {self.n_markers} markers"
             )
-        return samples.values if isinstance(samples, CurveSamples) else np.asarray(samples)
+        return np.asarray(samples, dtype=float)
 
     @cached_property
     def _area(self):
@@ -277,7 +267,7 @@ class PeriodicCurve:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, check_intersections=True, probe_area=True):
+    def validate(self, probe_area=True):
         total_winding = np.zeros(2, dtype=int)
         for lp in self.components:
             if lp.n < MIN_MARKERS:
@@ -290,8 +280,7 @@ class PeriodicCurve:
             raise OrientationError(
                 f"boundary is not null-homologous: windings sum to {total_winding}"
             )
-        if check_intersections:
-            self._check_intersections()
+        self._check_intersections()
         enclosed_area(self, check=probe_area)  # OrientationError on inconsistency
 
     def _check_intersections(self):
@@ -342,7 +331,7 @@ class PeriodicCurve:
 # -- public operations --------------------------------------------------------
 
 
-def resample_equal_arclength(curve, n_per_loop, max_passes=3):
+def resample_equal_arclength(curve, n_per_loop):
     """Redistribute markers to equal arclength on each loop (tangential move only).
 
     The markers are moved along the trigonometric interpolant of the input, so
@@ -361,7 +350,7 @@ def resample_equal_arclength(curve, n_per_loop, max_passes=3):
                 f"(spectral tail {tail:.2e} > {RESAMPLE_TAIL_MAX:.0e})"
             )
     out = curve
-    for it in range(max_passes):
+    for _ in range(RESAMPLE_PASSES):
         out = _resample_once(out, n_per_loop)
         dev = 0.0
         for lp in out.components:
@@ -369,7 +358,7 @@ def resample_equal_arclength(curve, n_per_loop, max_passes=3):
             dev = max(dev, float((w.max() - w.min()) / w.mean()))
         if dev < 1e-12:
             break
-    out.validate(check_intersections=True, probe_area=False)
+    out.validate(probe_area=False)
     return out
 
 
@@ -403,39 +392,32 @@ def _resample_once(curve, n_per_loop):
 
 def curvature(curve):
     """Scalar curvature kappa = H (in 2D) at each marker, disk-phase positive."""
-    return CurveSamples(curve.concat(lambda lp: lp.curvature()), kind="curvature")
+    return curve.concat(lambda lp: lp.curvature())
 
 
-def _d_ds(loop, values, order):
-    """Arclength derivatives on one loop by spectral differentiation.
+def _d_ds(curve, f, order):
+    """Arclength derivatives loop by loop, by spectral differentiation.
 
     Uses the chain rule through the loop parameter, so it stays exact for
     band-limited data even when markers are only approximately equidistributed.
     """
-    c = np.fft.fft(values) / loop.n
-    sp = loop.speed()
-    d1 = np.fft.ifft(_spectral_derivative_coeffs(c, 1) * loop.n).real / sp
-    if order == 1:
-        return d1
-    c1 = np.fft.fft(d1) / loop.n
-    return np.fft.ifft(_spectral_derivative_coeffs(c1, 1) * loop.n).real / sp
+    out = []
+    for loop, values in zip(curve.components, curve.split(curve.require_samples(f))):
+        sp = loop.speed()
+        for _ in range(order):
+            c = np.fft.fft(values) / loop.n
+            values = np.fft.ifft(_spectral_derivative_coeffs(c, 1) * loop.n).real / sp
+        out.append(values)
+    return np.concatenate(out)
 
 
 def arclength_derivative(curve, f):
-    vals = curve.require_samples(f)
-    parts = [
-        _d_ds(lp, part, 1) for lp, part in zip(curve.components, curve.split(vals))
-    ]
-    return CurveSamples(np.concatenate(parts), kind="derivative")
+    return _d_ds(curve, f, 1)
 
 
 def surface_laplacian(curve, f):
     """Second arclength derivative per loop (the surface Laplacian on T^2 curves)."""
-    vals = curve.require_samples(f)
-    parts = [
-        _d_ds(lp, part, 2) for lp, part in zip(curve.components, curve.split(vals))
-    ]
-    return CurveSamples(np.concatenate(parts), kind="laplacian")
+    return _d_ds(curve, f, 2)
 
 
 def perimeter(curve):
@@ -444,8 +426,7 @@ def perimeter(curve):
 
 def integrate_ds(curve, values):
     """Arclength integral of per-marker samples over the whole curve."""
-    vals = curve.require_samples(values) if not isinstance(values, np.ndarray) else values
-    return float(np.sum(curve.arclength_weights() * np.asarray(vals)))
+    return float(np.sum(curve.arclength_weights() * curve.require_samples(values)))
 
 
 def _wrap_knots(a, d, y0):
@@ -527,7 +508,7 @@ def _polygon_shoelace_lift(curve):
     return 0.5 * float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
 
 
-def enclosed_area(curve, check=False, n_probe=24):
+def enclosed_area(curve, check=False):
     """Area of the phase E in (0,1), winding-aware and spectrally accurate.
 
     Exact polygon area by the torus scanline, plus the chord-to-arc lens
@@ -539,7 +520,7 @@ def enclosed_area(curve, check=False, n_probe=24):
     if not 0.0 < area < 1.0:
         raise OrientationError(f"computed phase area {area:.6f} not in (0,1)")
     if check:
-        xs = (np.arange(n_probe) + 0.5) / n_probe
+        xs = (np.arange(AREA_PROBES) + 0.5) / AREA_PROBES
         px, py = np.meshgrid(xs, xs, indexing="ij")
         probes = np.column_stack([px.ravel(), py.ravel()])
         est = float(np.mean(signed_distance_points(curve, probes) < 0.0))
@@ -567,7 +548,7 @@ def displace(curve, disp):
     )
 
 
-def signed_distance_points(curve, points, chunk=4096):
+def signed_distance_points(curve, points):
     """Signed torus distance to the interface, negative inside E.
 
     Brute force over all lifted segments with the displacement wrapped to the
@@ -580,8 +561,8 @@ def signed_distance_points(curve, points, chunk=4096):
     ab2 = np.sum(ab * ab, axis=1)
     points = np.asarray(points, dtype=float)
     out = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], chunk):
-        p = points[lo : lo + chunk]
+    for lo in range(0, points.shape[0], DISTANCE_CHUNK):
+        p = points[lo : lo + DISTANCE_CHUNK]
         rel = p[:, None, :] - a[None, :, :]
         rel -= np.round(rel)
         t = np.clip(np.einsum("psd,sd->ps", rel, ab) / ab2, 0.0, 1.0)
@@ -591,26 +572,25 @@ def signed_distance_points(curve, points, chunk=4096):
         rows = np.arange(p.shape[0])
         cross = ab[j, 0] * diff[rows, j, 1] - ab[j, 1] * diff[rows, j, 0]
         # cross > 0: point lies left of travel, i.e. inside E, where d is negative
-        out[lo : lo + chunk] = np.sqrt(d2[rows, j]) * np.where(cross > 0, -1.0, 1.0)
+        out[lo : lo + DISTANCE_CHUNK] = np.sqrt(d2[rows, j]) * np.where(cross > 0, -1.0, 1.0)
     return out
 
 
 def signed_distance_grid(curve, grid_n):
-    """Signed distance field d_E on the uniform grid (negative inside E)."""
-    from .fields import GridField
-
+    """Signed distance field d_E on the uniform grid (negative inside E), as an
+    n x n array with the first index along x."""
     if grid_n < 64:
         raise ResolutionError("grid_n must be >= 64")
     xs = np.arange(grid_n) / grid_n
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     d = signed_distance_points(curve, pts)
-    return GridField(values=d.reshape(grid_n, grid_n), zero_mean=False)
+    return d.reshape(grid_n, grid_n)
 
 
 def tubular_radius(reference):
     """Half the minimum cross-component distance, capped at 0.45/max|kappa|."""
-    kap = np.abs(curvature(reference).values)
+    kap = np.abs(curvature(reference))
     cap = 0.45 / max(float(kap.max()), 1e-12)
     cap = min(cap, 0.25)
     if len(reference.components) < 2:
@@ -626,7 +606,7 @@ def tubular_radius(reference):
     return min(0.5 * best, cap)
 
 
-def height_function(curve, reference, tol=1e-10):
+def height_function(curve, reference):
     """Height psi of `curve` over `reference`, sampled at the reference markers.
 
     Solves x_curve(alpha) = x_ref + t * nu_ref per reference marker by a
@@ -656,7 +636,7 @@ def height_function(curve, reference, tol=1e-10):
             x = (ek @ coeffs).real + np.outer(alpha / (2 * np.pi), lp_c.winding)
             dx = (ek @ dcoeffs).real + lp_c.winding / (2 * np.pi)
             F = x - base - t[:, None] * nu
-            converged = np.linalg.norm(F, axis=1) < tol
+            converged = np.linalg.norm(F, axis=1) < HEIGHT_TOL
             if np.all(converged):
                 break
             # solve [ -nu, dx ] [dt, dalpha]^T = -F  (2x2 per marker)
@@ -678,7 +658,7 @@ def height_function(curve, reference, tol=1e-10):
         if base.shape[0] > 2 and not (np.all(dal > 0) or np.all(dal < 0)):
             raise GraphFailure("normal rays hit the curve more than once")
         out.append(t)
-    return CurveSamples(np.concatenate(out), kind="height")
+    return np.concatenate(out)
 
 
 # -- snapshot file ------------------------------------------------------------

@@ -20,33 +20,27 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .bie import assemble_single_layer, ms_boundary_data, potential_normal_derivative
-from .geometry import (
-    CurveSamples,
-    arclength_derivative,
-    curvature,
-    integrate_ds,
-    perimeter,
-)
+from .flow import Evaluation
+from .geometry import arclength_derivative, curvature, perimeter
 from . import shapes
+
+CRIT_TOL = 1e-4  # sup residual above CRIT_TOL * max(1, |lambda|): not critical
+TRANSLATION_REL_TOL = 1e-10  # trace norm, relative to the perimeter, of a kept translation
+STAB_TOL_REL = 1e-6  # marginal band, relative to max(1, max |eigenvalue|)
+OVERLAP_THRESHOLD = 0.99  # translation overlap above which a mode is left out of the gap
+POINCARE_FLOOR = 1e-24  # int (H - Hbar)^2 below this counts as zero
 
 
 def criticality_residual(curve, gamma, grid_n=256):
-    """Residual of H + 4 gamma v_E = lambda with the arclength-mean multiplier.
-
-    Returns (residual samples, lambda); the caller judges closeness to
-    criticality from the reported sup and L2 norms.
-    """
-    g = ms_boundary_data(curve, gamma, grid_n=grid_n)[0].values
-    lam = integrate_ds(curve, g) / perimeter(curve)
-    return CurveSamples(g - lam, kind="boundary-data"), float(lam)
+    """(residual, lambda) of H + 4 gamma v_E = lambda, lambda the arclength mean."""
+    return Evaluation(curve, "ms", gamma, grid_n).criticality
 
 
-def translation_basis(curve, rel_tol=1e-10):
+def translation_basis(curve):
     """L2-orthonormal basis of nonvanishing translation traces e_i . nu.
 
     Diagonalizes the 2x2 Gram matrix of (e_x.nu, e_y.nu); directions with
-    norm below rel_tol * perimeter are excluded (the paper-style index set).
+    norm below TRANSLATION_REL_TOL * perimeter are excluded.
     Returns (basis functions as rows, index list, gram condition number).
     """
     nu = curve.normals()
@@ -57,7 +51,7 @@ def translation_basis(curve, rel_tol=1e-10):
     basis, index = [], []
     for i in range(2):
         norm = np.sqrt(max(evals[i], 0.0))
-        if norm <= rel_tol * per:
+        if norm <= TRANSLATION_REL_TOL * per:
             continue
         vec = nu @ evecs[:, i]
         basis.append(vec / norm)
@@ -68,7 +62,7 @@ def translation_basis(curve, rel_tol=1e-10):
 
 def min_translation_distance(phi, curve):
     """L2 distance of phi from the span of translation traces, normalized."""
-    vals = np.asarray(curve.require_samples(phi), dtype=float)
+    vals = curve.require_samples(phi)
     w = curve.arclength_weights()
     norm = np.sqrt(float(np.sum(w * vals**2)))
     if norm == 0.0:
@@ -140,33 +134,32 @@ class SecondVariationMatrix:
         )
 
 
-def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256, crit_tol=1e-4):
+def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256):
     """Assemble the four matrices of the quadratic form over the Fourier basis.
 
-    The nonlocal block and d_nu v_E both go through the single-layer
-    quadrature, so the two gamma terms cancel on translation traces to
-    quadrature accuracy; grid_n sizes only the criticality residual's v_E.
+    All curve data come from one MS `Evaluation`.  The nonlocal block and d_nu
+    v_E both go through its single layer, so the two gamma terms cancel on
+    translation traces to quadrature accuracy; grid_n sizes only the
+    criticality residual's v_E.
     """
+    ev = Evaluation(curve, "ms", gamma, grid_n)
     B, dB, labels = _mode_basis(curve, n_modes)
     w = curve.arclength_weights()
-    kap = curvature(curve).values
     local = dB.T @ (w[:, None] * dB)
-    curv = -B.T @ ((w * kap**2)[:, None] * B)
-    res, lam = criticality_residual(curve, gamma, grid_n=grid_n)
-    crit_sup = float(np.abs(res.values).max())
+    curv = -B.T @ ((w * ev.kappa**2)[:, None] * B)
+    res, lam = ev.criticality
+    crit_sup = float(np.abs(res).max())
     warning = ""
-    if crit_sup > crit_tol * max(1.0, abs(lam)):
+    if crit_sup > CRIT_TOL * max(1.0, abs(lam)):
         warning = (
             f"curve is not critical (sup residual {crit_sup:.3e}); the assembled "
             "form omits the first-variation remainder and is diagnostic only"
         )
         warnings.warn(warning)
-    op = assemble_single_layer(curve)
-    dnv = potential_normal_derivative(curve, op).values
     WB = w[:, None] * B
-    nonlocal_part = WB.T @ op.kernel @ WB
+    nonlocal_part = WB.T @ ev.operator.kernel @ WB
     nonlocal_part = 0.5 * (nonlocal_part + nonlocal_part.T)
-    pot = B.T @ ((w * dnv)[:, None] * B)
+    pot = B.T @ ((w * ev.potential_derivative)[:, None] * B)
     gram = B.T @ (w[:, None] * B)
     means = B.T @ w
     return SecondVariationMatrix(
@@ -213,7 +206,7 @@ class SpectrumReport:
         }
 
 
-def spectrum(matrix, stab_tol_rel=1e-6, overlap_threshold=0.99):
+def spectrum(matrix):
     """Generalized eigensolve of the assembled form on the zero-mean subspace."""
     from scipy.linalg import null_space
 
@@ -235,8 +228,8 @@ def spectrum(matrix, stab_tol_rel=1e-6, overlap_threshold=0.99):
         proj = sum(float(np.sum(w * f * b)) ** 2 for b in tbasis)
         overlaps[i] = proj / nrm
     scale = max(1.0, float(np.abs(evals).max()) if evals.size else 1.0)
-    stab_tol = stab_tol_rel * scale
-    non_trans = overlaps <= overlap_threshold
+    stab_tol = STAB_TOL_REL * scale
+    non_trans = overlaps <= OVERLAP_THRESHOLD
     gap = float(evals[non_trans].min()) if np.any(non_trans) else np.inf
     if gap > stab_tol:
         cls = "strictly_stable"
@@ -257,37 +250,35 @@ def spectrum(matrix, stab_tol_rel=1e-6, overlap_threshold=0.99):
     )
 
 
-def second_variation_direct(curve, gamma, phi, operator=None):
-    """Direct evaluation of the quadratic form on one sampled perturbation.
+def second_variation_direct(ev, phi):
+    """Direct evaluation of the quadratic form at `ev`'s curve and gamma on one
+    sampled perturbation.
 
-    Both gamma terms go through the single-layer quadrature, as in the
-    assembly; `operator` reuses an already assembled single layer.
+    Both gamma terms go through the evaluation's single layer, as in the
+    assembly; at gamma = 0 it is not assembled.
     """
-    vals = np.asarray(curve.require_samples(phi), dtype=float)
+    curve = ev.curve
+    vals = curve.require_samples(phi)
     w = curve.arclength_weights()
-    kap = curvature(curve).values
-    dphi = arclength_derivative(curve, CurveSamples(vals)).values
-    out = float(np.sum(w * dphi**2) - np.sum(w * kap**2 * vals**2))
-    if gamma != 0.0:
-        op = operator if operator is not None else assemble_single_layer(curve)
-        nl = op.quadratic_form(vals)
-        dnv = potential_normal_derivative(curve, op).values
-        out += 8.0 * gamma * nl
-        out += 4.0 * gamma * float(np.sum(w * dnv * vals**2))
+    dphi = arclength_derivative(curve, vals)
+    out = float(np.sum(w * dphi**2) - np.sum(w * ev.kappa**2 * vals**2))
+    if ev.gamma != 0.0:
+        out += 8.0 * ev.gamma * ev.operator.quadratic_form(vals)
+        out += 4.0 * ev.gamma * float(np.sum(w * ev.potential_derivative * vals**2))
     return out
 
 
-def geometric_poincare_ratio(curve, floor=1e-24):
+def geometric_poincare_ratio(curve):
     """Ratio int (H - Hbar)^2 ds / int |D_tau H|^2 ds (inf when H is piecewise const)."""
-    kap = curvature(curve).values
+    kap = curvature(curve)
     w = curve.arclength_weights()
     hbar = float(np.sum(w * kap)) / float(np.sum(w))
     num = float(np.sum(w * (kap - hbar) ** 2))
-    dk = arclength_derivative(curve, CurveSamples(kap)).values
+    dk = arclength_derivative(curve, kap)
     den = float(np.sum(w * dk**2))
-    if num < floor:
+    if num < POINCARE_FLOOR:
         return 0.0
-    if den < floor * max(num, 1.0):
+    if den < POINCARE_FLOOR * max(num, 1.0):
         return np.inf
     return num / den
 
@@ -299,7 +290,6 @@ def lamella_threshold(
     n_per_loop=64,
     n_modes=6,
     grid_n=256,
-    stab_tol_rel=1e-6,
     cache=None,
 ):
     """Smallest strip count k in 1..k_max whose lamella is strictly stable, else None.
@@ -318,7 +308,7 @@ def lamella_threshold(
             if cache is not None:
                 cache[key] = mat
         mat.gamma = gamma
-        rep = spectrum(mat, stab_tol_rel=stab_tol_rel)
+        rep = spectrum(mat)
         if rep.classification == "strictly_stable":
             return k
     return None

@@ -16,13 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from torusflow.fields import (
-    GridField,
     _wavenumbers,
     dirichlet_energy,
     interpolate_grid,
     potential_of_set,
 )
-from torusflow.geometry import CurveSamples, integrate_ds, perimeter
+from torusflow.flow import Evaluation
+from torusflow.geometry import integrate_ds, perimeter
 from torusflow.variation import assemble_second_variation, second_variation_direct
 
 log = logging.getLogger(__name__)
@@ -30,13 +30,13 @@ log = logging.getLogger(__name__)
 
 def neg_laplacian(field):
     """Spectral -Lap of a grid field (for residual checks)."""
-    _, _, k2 = _wavenumbers(field.n)
-    return GridField(values=np.fft.ifft2(k2 * np.fft.fft2(field.values)).real)
+    _, _, k2 = _wavenumbers(field.shape[0])
+    return np.fft.ifft2(k2 * np.fft.fft2(field)).real
 
 
 def gradient(field):
-    kx, ky, _ = _wavenumbers(field.n)
-    fh = np.fft.fft2(field.values)
+    kx, ky, _ = _wavenumbers(field.shape[0])
+    fh = np.fft.fft2(field)
     gx = np.fft.ifft2(2j * np.pi * kx * fh).real
     gy = np.fft.ifft2(2j * np.pi * ky * fh).real
     return gx, gy
@@ -51,7 +51,7 @@ def normal_derivative(v, curve):
         interpolate_grid(gx, markers) * nu[:, 0]
         + interpolate_grid(gy, markers) * nu[:, 1]
     )
-    return CurveSamples(dnv, kind="boundary-data")
+    return dnv
 
 
 def line_mode_coefficients(curve, phi, n=256, width=2.0, kcut_frac=0.25):
@@ -98,12 +98,12 @@ def line_measure_potential(curve, phi, n=256, width=2.0):
     if abs(mean) > 1e-13 * (1.0 + np.abs(vals).max()):
         log.info("line_measure_potential: projected out density mean %.3e", mean)
     vals = vals - mean
-    c = line_mode_coefficients(curve, CurveSamples(vals), n=n, width=width)
+    c = line_mode_coefficients(curve, vals, n=n, width=width)
     k2 = _wavenumbers(n)[2].copy()
     k2[0, 0] = 1.0
     vh = c * n**2 / k2
     vh[0, 0] = 0.0
-    return GridField(values=np.fft.ifft2(vh).real, zero_mean=True)
+    return np.fft.ifft2(vh).real
 
 
 def pair_energy(curve, phi_a, phi_b, n=256, width=2.0):
@@ -126,14 +126,12 @@ def grid_nonlocal_parts(curve, basis, grid_n=256, delta_width=2.0):
     B = basis
     w = curve.arclength_weights()
     v, _ = potential_of_set(curve, n=grid_n)
-    dnv = normal_derivative(v, curve).values
+    dnv = normal_derivative(v, curve)
     k2 = _wavenumbers(grid_n)[2].copy()
     k2[0, 0] = 1.0
     cols = []
     for jb in range(B.shape[1]):
-        c = line_mode_coefficients(
-            curve, CurveSamples(B[:, jb]), n=grid_n, width=delta_width
-        )
+        c = line_mode_coefficients(curve, B[:, jb], n=grid_n, width=delta_width)
         c[0, 0] = 0.0
         cols.append((c / np.sqrt(k2)).ravel())
     V = np.array(cols)
@@ -153,13 +151,13 @@ def second_variation_direct_grid(curve, gamma, phi, grid_n=256):
     """Q[phi] with both gamma terms from the grid route (line-measure potential
     plus the rasterized v_E's normal derivative)."""
     vals = np.asarray(curve.require_samples(phi), dtype=float)
-    out = second_variation_direct(curve, 0.0, CurveSamples(vals))
+    out = second_variation_direct(Evaluation(curve, "ms"), vals)
     if gamma != 0.0:
         w = curve.arclength_weights()
-        vphi = line_measure_potential(curve, CurveSamples(vals), n=grid_n)
+        vphi = line_measure_potential(curve, vals, n=grid_n)
         nl = dirichlet_energy(vphi)
         v, _ = potential_of_set(curve, n=grid_n)
-        dnv = normal_derivative(v, curve).values
+        dnv = normal_derivative(v, curve)
         out += 8.0 * gamma * nl
         out += 4.0 * gamma * float(np.sum(w * dnv * vals**2))
     return out

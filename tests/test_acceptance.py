@@ -26,6 +26,7 @@ from torusflow.diagnostics import (
 )
 from torusflow.flow import (
     EnergyTrace,
+    Evaluation,
     FlowParams,
     StoppingMonitor,
     _evaluate,
@@ -35,7 +36,6 @@ from torusflow.flow import (
     step,
 )
 from torusflow.geometry import (
-    CurveSamples,
     MarkerLoop,
     PeriodicCurve,
     enclosed_area,
@@ -58,7 +58,7 @@ def _report(num, ok, detail):
 
 
 def _mode_amplitude(curve, reference, mode, interface=1, kind="sin"):
-    psi = height_function(curve, reference).values
+    psi = height_function(curve, reference)
     sl = reference.loop_slices()[interface]
     x = reference.markers()[sl, 0]
     w = np.sin(2 * np.pi * mode * x) if kind == "sin" else np.cos(2 * np.pi * mode * x)
@@ -66,7 +66,7 @@ def _mode_amplitude(curve, reference, mode, interface=1, kind="sin"):
 
 
 def _circle_mode_amplitude(curve, reference, mode):
-    psi = height_function(curve, reference).values
+    psi = height_function(curve, reference)
     m = reference.markers()
     th = np.arctan2(m[:, 1] - 0.5, m[:, 0] - 0.5)
     return 2.0 * float(np.mean(psi * np.cos(mode * th)))
@@ -173,7 +173,7 @@ def _two_mode_circle(eps, n=256):
     base = shapes.circle(0.2, n=n)
     th = np.arctan2(base.markers()[:, 1] - 0.5, base.markers()[:, 0] - 0.5)
     psi = eps * (np.cos(2 * th) + np.cos(4 * th))
-    return resample_equal_arclength(shapes.graph_over(base, CurveSamples(psi)), n)
+    return resample_equal_arclength(shapes.graph_over(base, psi), n)
 
 
 def _two_mode_strip(eps, h=0.3, n=256):
@@ -294,10 +294,10 @@ def test_acceptance_6_finite_difference_hessian():
     th = np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5)
     phi = np.cos(2 * th)
     target = enclosed_area(c)
-    q_exact = second_variation_direct(c, 0.0, CurveSamples(phi))
+    q_exact = second_variation_direct(Evaluation(c, "ms"), phi)
 
     def j_corrected(eps):
-        cur = shapes.graph_over(c, CurveSamples(eps * phi))
+        cur = shapes.graph_over(c, eps * phi)
         for _ in range(4):
             delta = (target - enclosed_area(cur)) / perimeter(cur)
             nus = cur.normals()

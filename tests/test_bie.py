@@ -223,7 +223,7 @@ def test_refinement_consistency():
 def test_constant_data_gives_zero_jump(circle_op):
     c, op = circle_op
     sol = solve_jump(c, np.full(c.n_markers, 3.7), operator=op)
-    assert np.abs(sol.jump.values).max() < 1e-9
+    assert np.abs(sol.jump).max() < 1e-9
     assert sol.additive_constant == pytest.approx(3.7, abs=1e-9)
 
 
@@ -231,13 +231,12 @@ def test_jump_solution_reports_rcond(circle_op):
     c, op = circle_op
     g = np.cos(2 * np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5))
     assert solve_jump(c, g, operator=op).rcond > 1e-12
-    assert np.isnan(solve_jump(c, g, operator=op, check_condition=False).rcond)
 
 
 def test_circle_stationary_at_gamma_zero(circle_op):
     c, _ = circle_op
     sol = solve_jump(c, curvature(c))
-    assert np.abs(sol.jump.values).max() < 1e-8
+    assert np.abs(sol.jump).max() < 1e-8
     assert sol.dissipation() < 1e-12
 
 
@@ -251,17 +250,17 @@ def test_strip_fourier_oracle():
     sol = solve_jump(st, g)
     jb, jt = oracles.strip_jump(k, h, 0.0, 1.0)
     scale = abs(jt)
-    assert np.abs(sol.jump.values[sl[1]] - jt * np.cos(2 * np.pi * k * x[sl[1]])).max() < 1e-6 * scale
-    assert np.abs(sol.jump.values[sl[0]] - jb * np.cos(2 * np.pi * k * x[sl[0]])).max() < 1e-6 * scale
+    assert np.abs(sol.jump[sl[1]] - jt * np.cos(2 * np.pi * k * x[sl[1]])).max() < 1e-6 * scale
+    assert np.abs(sol.jump[sl[0]] - jb * np.cos(2 * np.pi * k * x[sl[0]])).max() < 1e-6 * scale
 
 
 def test_jump_relations_and_mean(circle_op):
     c, op = circle_op
     th = np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5)
     sol = solve_jump(c, np.cos(3 * th) + 0.2 * np.sin(th), operator=op)
-    plus, minus = sol.one_sided_plus.values, sol.one_sided_minus.values
-    assert np.abs(plus - minus - sol.jump.values).max() < 1e-13
-    assert abs(integrate_ds(c, sol.jump.values)) < 1e-10 * np.abs(sol.jump.values).max()
+    plus, minus = sol.one_sided_plus, sol.one_sided_minus
+    assert np.abs(plus - minus - sol.jump).max() < 1e-13
+    assert abs(integrate_ds(c, sol.jump)) < 1e-10 * np.abs(sol.jump).max()
 
 
 def test_energy_pairing_positive_and_selfadjoint():
@@ -279,8 +278,8 @@ def test_energy_pairing_positive_and_selfadjoint():
     g2 = smooth(rng.normal(size=st.n_markers))
     s1, s2 = solve_jump(st, g1), solve_jump(st, g2)
     assert s1.dissipation() >= -1e-10
-    a12 = integrate_ds(st, g1 * s2.jump.values)
-    a21 = integrate_ds(st, g2 * s1.jump.values)
+    a12 = integrate_ds(st, g1 * s2.jump)
+    a21 = integrate_ds(st, g2 * s1.jump)
     assert abs(a12 - a21) / max(abs(a12), 1e-15) < 1e-9
 
 
@@ -290,7 +289,7 @@ def test_jump_spectral_refinement():
     vals = {}
     for n in (32, 64, 128, 256):
         c = shapes.perturbed_circle(0.2, 0.02, 3, n=n)
-        vals[n] = solve_jump(c, curvature(c)).jump.values
+        vals[n] = solve_jump(c, curvature(c)).jump
     errs = [np.abs(vals[n] - vals[256][:: 256 // n]).max() for n in (32, 64, 128)]
     assert errs[0] / max(errs[1], 1e-13) > 10
     assert errs[1] / max(errs[2], 1e-13) > 10 or errs[2] < 1e-9
@@ -304,8 +303,8 @@ def test_perturbed_lamella_dispersion():
     V = solve_jump(st, curvature(st)).jump
     x = st.markers()[:, 0]
     sl = st.loop_slices()
-    amp_top = 2 * np.mean(V.values[sl[1]] * np.sin(2 * np.pi * k * x[sl[1]]))
-    amp_bot = 2 * np.mean(V.values[sl[0]] * np.sin(2 * np.pi * k * x[sl[0]]))
+    amp_top = 2 * np.mean(V[sl[1]] * np.sin(2 * np.pi * k * x[sl[1]]))
+    amp_bot = 2 * np.mean(V[sl[0]] * np.sin(2 * np.pi * k * x[sl[0]]))
     q = 2 * np.pi * k
     a = 1 / np.tanh(q * h) + 1 / np.tanh(q * (1 - h))
     b = 1 / np.sinh(q * h) + 1 / np.sinh(q * (1 - h))
@@ -337,7 +336,7 @@ def test_dissipation_cross_check_with_grid():
 def test_potential_normal_derivative_identity():
     st = shapes.strip(0.3, n=128)
     dnv = potential_normal_derivative(st)
-    np.testing.assert_allclose(dnv.values, oracles.strip_normal_derivative(0.3), atol=1e-12)
+    np.testing.assert_allclose(dnv, oracles.strip_normal_derivative(0.3), atol=1e-12)
 
 
 def test_jump_csv_dump(tmp_path):

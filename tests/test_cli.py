@@ -248,6 +248,28 @@ def test_small_grid_is_config_error(tmp_path, capsys):
     assert "grid.n must be a power of two >= 128" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("simulate", ["flow.max_steps="]),
+        ("verify", ["verify.steps="]),
+        ("stability", ["stability.n_modes="]),
+        ("stability", ["stability.gammas=abc"]),
+        ("stability", ["stability.lamella_h=", "stability.k_max=1"]),
+        ("simulate", ["geometry.center=0.5"]),
+    ],
+    ids=["max_steps", "verify_steps", "n_modes", "gammas", "lamella_h", "center"],
+)
+def test_malformed_value_is_config_error(tmp_path, capsys, command, overrides):
+    # an empty, non-numeric or short value is a config error (2), not an
+    # internal error (3)
+    args = [command, "-o", f"output.dir={tmp_path}"]
+    for ov in overrides:
+        args += ["-o", ov]
+    assert main(args) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_dotted_flag_overrides(tmp_path, capsys):
     path = write_ini(tmp_path, SD_RUN.format(out=tmp_path))
     assert main(["simulate", path, "--flow.t_end=1.28e-4"]) == 0

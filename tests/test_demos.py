@@ -1,0 +1,26 @@
+"""The quick demos run to completion from a clean working directory."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# relax_perturbed_circle.py (about 30 s) is left to manual runs
+@pytest.mark.parametrize(
+    "demo", ["dispersion_relations.py", "energy_identities.py", "lamella_stability_sweep.py"]
+)
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusflow import shapes
+from torusflow import bie, shapes
 from torusflow.diagnostics import (
     asymmetry_distance,
     discrete_sobolev_norm,
@@ -19,7 +19,6 @@ from torusflow.diagnostics import (
     verify_second_identity_sd,
 )
 from torusflow.flow import EnergyTrace, Evaluation
-from torusflow.geometry import CurveSamples
 
 
 def energy(curve, gamma):
@@ -42,10 +41,20 @@ def _fresh_interpreter(code):
 
 
 def test_layering_flow_below_diagnostics():
-    # bie <- flow <- diagnostics: the diagnostics import on their own, and the
-    # flow does not pull them in
+    # geometry <- fields <- bie <- flow <- variation <- diagnostics: the
+    # diagnostics import on their own, the flow pulls in neither variation nor
+    # diagnostics, and the signed distance grid needs no fields
     assert _fresh_interpreter("import torusflow.diagnostics; print('ok')") == "ok"
-    code = "import sys, torusflow.flow; print('torusflow.diagnostics' in sys.modules)"
+    code = (
+        "import sys, torusflow.flow; "
+        "print([m for m in ('torusflow.variation', 'torusflow.diagnostics') if m in sys.modules])"
+    )
+    assert _fresh_interpreter(code) == "[]"
+    code = (
+        "import sys; from torusflow import geometry, shapes; "
+        "geometry.signed_distance_grid(shapes.circle(0.2, n=64), 64); "
+        "print('torusflow.fields' in sys.modules)"
+    )
     assert _fresh_interpreter(code) == "False"
 
 
@@ -93,6 +102,20 @@ def test_second_identity_ms_perturbed():
     rep = verify_second_identity_ms(c, gamma=0.0)
     assert rep.relative_residual < 0.05
     assert rep.terms["dissipation"] > 0
+
+
+def test_ms_identity_check_computes_three_potentials(monkeypatch):
+    # the base curve's grid potential serves its datum and its criticality
+    # residual; each of the two advanced curves needs one more
+    original, calls = bie.potential_of_set, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bie, "potential_of_set", counted)
+    verify_second_identity_ms(shapes.perturbed_strip(0.4, 1e-2, 1, n=96), gamma=5.0)
+    assert len(calls) == 3
 
 
 def test_second_identity_sd_perturbed():
@@ -159,11 +182,11 @@ def test_sobolev_norm_single_mode():
     psi[sl[1]] = a * np.sin(2 * np.pi * x[sl[1]])
     for s in (1.0, 2.5, 3.0):
         expect = np.sqrt(a**2 * (1 + 4 * np.pi**2) ** s / 2)
-        got = discrete_sobolev_norm(CurveSamples(psi), ref, s)
+        got = discrete_sobolev_norm(psi, ref, s)
         assert got == pytest.approx(expect, rel=1e-10)
-    assert discrete_sobolev_norm(CurveSamples(np.zeros(ref.n_markers)), ref, 2.5) == 0.0
-    n1 = discrete_sobolev_norm(CurveSamples(psi), ref, 1.0)
-    n3 = discrete_sobolev_norm(CurveSamples(psi), ref, 3.0)
+    assert discrete_sobolev_norm(np.zeros(ref.n_markers), ref, 2.5) == 0.0
+    n1 = discrete_sobolev_norm(psi, ref, 1.0)
+    n3 = discrete_sobolev_norm(psi, ref, 3.0)
     assert n3 > n1  # monotone in the order
 
 

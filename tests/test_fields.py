@@ -20,7 +20,6 @@ from torusflow import shapes
 from torusflow.bie import potential_normal_derivative
 from torusflow.errors import ResolutionError
 from torusflow.fields import (
-    GridField,
     _band_distances,
     dirichlet_energy,
     interpolate_grid,
@@ -29,7 +28,6 @@ from torusflow.fields import (
     solve_poisson_zero_mean,
 )
 from torusflow.geometry import (
-    CurveSamples,
     _all_segments,
     integrate_ds,
     signed_distance_points,
@@ -39,8 +37,8 @@ from torusflow.geometry import (
 def test_rasterize_strip_values_and_mean():
     st = shapes.strip(0.3, n=128)
     u = rasterize_indicator(st, 256)
-    assert u.values[128, int(0.15 * 256)] == pytest.approx(1.0, abs=1e-12)
-    assert u.values[128, int(0.65 * 256)] == pytest.approx(-1.0, abs=1e-12)
+    assert u[128, int(0.15 * 256)] == pytest.approx(1.0, abs=1e-12)
+    assert u[128, int(0.65 * 256)] == pytest.approx(-1.0, abs=1e-12)
     assert abs(u.mean() - (2 * 0.3 - 1)) <= 2.0 / 256
 
 
@@ -118,38 +116,38 @@ def test_package_import_leaves_out_scipy_spatial():
 def test_translation_equivariance():
     u1 = rasterize_indicator(shapes.strip(0.3, offset=0.0, n=128), 256)
     u2 = rasterize_indicator(shapes.strip(0.3, offset=32 / 256, n=128), 256)
-    assert np.abs(np.roll(u1.values, 32, axis=1) - u2.values).max() < 1e-12
+    assert np.abs(np.roll(u1, 32, axis=1) - u2).max() < 1e-12
 
 
 def test_poisson_single_mode():
     n = 128
     xs = np.arange(n) / n
-    rhs = GridField(np.cos(2 * np.pi * xs)[:, None] * np.ones(n)[None, :])
+    rhs = np.cos(2 * np.pi * xs)[:, None] * np.ones(n)[None, :]
     v = solve_poisson_zero_mean(rhs)
     expect = np.cos(2 * np.pi * xs)[:, None] / (4 * np.pi**2)
-    assert np.abs(v.values - expect).max() < 1e-14
+    assert np.abs(v - expect).max() < 1e-14
     assert abs(v.mean()) < 1e-15
 
 
 def test_poisson_constant_rhs():
-    v = solve_poisson_zero_mean(GridField(np.full((128, 128), 2.2)))
-    assert np.abs(v.values).max() < 1e-14
+    v = solve_poisson_zero_mean(np.full((128, 128), 2.2))
+    assert np.abs(v).max() < 1e-14
 
 
 def test_poisson_residual():
     rng = np.random.default_rng(0)
-    rhs = GridField(rng.normal(size=(128, 128)))
+    rhs = rng.normal(size=(128, 128))
     v = solve_poisson_zero_mean(rhs)
-    res = neg_laplacian(v).values - (rhs.values - rhs.mean())
-    assert np.abs(res).max() / np.abs(rhs.values).max() < 1e-10
+    res = neg_laplacian(v) - (rhs - rhs.mean())
+    assert np.abs(res).max() / np.abs(rhs).max() < 1e-10
 
 
 def test_dirichlet_energy_parseval():
     n = 128
     xs = np.arange(n) / n
-    v = GridField(np.cos(2 * np.pi * xs)[:, None] / (4 * np.pi**2) * np.ones(n)[None, :])
+    v = np.cos(2 * np.pi * xs)[:, None] / (4 * np.pi**2) * np.ones(n)[None, :]
     assert dirichlet_energy(v) == pytest.approx(1 / (8 * np.pi**2), rel=1e-12)
-    assert dirichlet_energy(GridField(np.full((64, 64), 3.0))) == 0.0
+    assert dirichlet_energy(np.full((64, 64), 3.0)) == 0.0
 
 
 def test_strip_profile_matches_ode_oracle():
@@ -157,7 +155,7 @@ def test_strip_profile_matches_ode_oracle():
     v, _ = potential_of_set(shapes.strip(h, n=128), 256)
     yy = np.arange(256) / 256
     expect = oracles.strip_potential_profile(yy, h)
-    assert np.abs(v.values[5, :] - expect).max() < 2e-4
+    assert np.abs(v[5, :] - expect).max() < 2e-4
 
 
 def test_strip_energy_and_trace():
@@ -166,7 +164,7 @@ def test_strip_energy_and_trace():
     v, trace = potential_of_set(st, 256)
     assert dirichlet_energy(v) == pytest.approx(oracles.strip_dirichlet_energy(h), rel=1e-3)
     np.testing.assert_allclose(
-        normal_derivative(v, st).values, oracles.strip_normal_derivative(h), rtol=2e-2
+        normal_derivative(v, st), oracles.strip_normal_derivative(h), rtol=2e-2
     )
 
 
@@ -188,7 +186,7 @@ def test_strip_trace_grid_convergence():
     errs = []
     for n in (128, 256, 512):
         _, trace = potential_of_set(st, n)
-        errs.append(np.abs(trace.values - exact).max())
+        errs.append(np.abs(trace - exact).max())
     assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1], errs
     assert errs[2] < 1e-6, errs
 
@@ -204,11 +202,11 @@ def test_strip_trace_grid_convergence():
 def test_grid_normal_derivative_converges_to_kress(curve):
     # the grid's spectral gradient and the single-layer identity Dv_E = -2 S[nu]
     # are independent discretisations of d_nu v_E; the grid one is first order
-    kress = potential_normal_derivative(curve).values
+    kress = potential_normal_derivative(curve)
     errs = []
     for n in (128, 256, 512):
         v, _ = potential_of_set(curve, n)
-        errs.append(np.abs(normal_derivative(v, curve).values - kress).max())
+        errs.append(np.abs(normal_derivative(v, curve) - kress).max())
     assert errs[1] <= 0.6 * errs[0] and errs[2] <= 0.6 * errs[1], errs
     assert errs[2] < 2e-3, errs
 
@@ -216,7 +214,7 @@ def test_grid_normal_derivative_converges_to_kress(curve):
 def test_circle_trace_square_symmetry():
     c = shapes.circle(0.2, n=256)
     _, trace = potential_of_set(c, 256)
-    tr = trace.values
+    tr = trace
     # quarter rotation maps the marker set to itself (n divisible by 4)
     quarter = np.roll(tr, 64)
     assert np.abs(tr - quarter).max() < 1e-8
@@ -229,23 +227,23 @@ def test_line_measure_two_delta_profile():
     phi = np.zeros(st.n_markers)
     phi[sl[1]] = 1.0
     phi[sl[0]] = -1.0
-    v = line_measure_potential(st, CurveSamples(phi), n=256)
+    v = line_measure_potential(st, phi, n=256)
     yy = np.arange(256) / 256
     expect = oracles.two_delta_profile(yy, h)
     # truncated spectrum of a piecewise-linear profile: small Gibbs at the kinks
-    assert np.abs(v.values[7, :] - expect).max() < 1.5e-3
+    assert np.abs(v[7, :] - expect).max() < 1.5e-3
 
 
 def test_line_measure_zero_density():
     st = shapes.strip(0.3, n=64)
-    v = line_measure_potential(st, CurveSamples(np.zeros(st.n_markers)), n=256)
-    assert np.abs(v.values).max() < 1e-14
+    v = line_measure_potential(st, np.zeros(st.n_markers), n=256)
+    assert np.abs(v).max() < 1e-14
 
 
 def test_pair_energy_positive():
     c = shapes.perturbed_circle(0.2, 0.01, 3, n=128)
     th = np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5)
-    phi = CurveSamples(np.cos(2 * th))
+    phi = np.cos(2 * th)
     assert pair_energy(c, phi, phi, n=256) > 0
 
 
@@ -257,10 +255,10 @@ def test_green_reciprocity():
     psi = np.zeros(td.n_markers)
     phi[sl[0]] = np.cos(a0) + 0.5 * np.sin(2 * a0)
     psi[sl[1]] = np.sin(a0) - 0.2 * np.cos(3 * a0)
-    vphi = line_measure_potential(td, CurveSamples(phi), n=256)
-    vpsi = line_measure_potential(td, CurveSamples(psi), n=256)
-    a = integrate_ds(td, interpolate_grid(vphi.values, td.markers()) * psi)
-    b = integrate_ds(td, interpolate_grid(vpsi.values, td.markers()) * phi)
+    vphi = line_measure_potential(td, phi, n=256)
+    vpsi = line_measure_potential(td, psi, n=256)
+    a = integrate_ds(td, interpolate_grid(vphi, td.markers()) * psi)
+    b = integrate_ds(td, interpolate_grid(vpsi, td.markers()) * phi)
     assert abs(a - b) / max(abs(a), 1e-30) < 1e-6
 
 

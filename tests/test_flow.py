@@ -124,7 +124,7 @@ def test_rk4_self_convergence_order():
         for _ in range(n_sub):
             out = _rk4_step(cur, dt / n_sub)
             cur = make_state(out, "ms")
-        return height_function(out, base).values
+        return height_function(out, base)
 
     p1, p2, p4 = advance(1), advance(2), advance(4)
     e12 = np.abs(p1 - p2).max()
@@ -320,8 +320,8 @@ def test_ssd_matches_rk4_short_horizon():
     st_s = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=t_end / 60))
     res_s = run(st_s, t_end=t_end)
     base = shapes.strip(0.5, n=64)
-    pr = height_function(res_r.state.curve, base).values
-    ps = height_function(res_s.state.curve, base).values
+    pr = height_function(res_r.state.curve, base)
+    ps = height_function(res_s.state.curve, base)
     assert np.abs(pr - ps).max() < 1e-3 * max(np.abs(pr).max(), 1e-12) + 1e-12
 
 

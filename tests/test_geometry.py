@@ -10,7 +10,6 @@ from torusflow import shapes
 from torusflow.errors import GraphFailure, OrientationError, ResolutionError, TopologyError
 from torusflow.geometry import (
     RESAMPLE_TAIL_MAX,
-    CurveSamples,
     MarkerLoop,
     PeriodicCurve,
     arclength_derivative,
@@ -96,11 +95,11 @@ def test_resample_too_few_markers():
 
 def test_curvature_circle():
     c = shapes.circle(0.25, n=256)
-    np.testing.assert_allclose(curvature(c).values, 4.0, atol=1e-8)
+    np.testing.assert_allclose(curvature(c), 4.0, atol=1e-8)
 
 
 def test_curvature_lamella_zero():
-    assert np.abs(curvature(shapes.strip(0.3, n=64)).values).max() < 1e-12
+    assert np.abs(curvature(shapes.strip(0.3, n=64))).max() < 1e-12
 
 
 def test_curvature_graph_oracle():
@@ -113,13 +112,13 @@ def test_curvature_graph_oracle():
     pert = shapes.graph_over(base, psi)
     xx = pert.markers()[sl[1], 0]
     expected = eps * (2 * np.pi) ** 2 * np.sin(2 * np.pi * xx)
-    err = np.abs(curvature(pert).values[sl[1]] - expected).max()
+    err = np.abs(curvature(pert)[sl[1]] - expected).max()
     assert err < 20 * eps**2  # O(eps^2) remainder
 
 
 def test_curvature_complement_sign():
     c = shapes.circle(0.2, n=128, phase="outside")
-    np.testing.assert_allclose(curvature(c).values, -5.0, atol=1e-8)
+    np.testing.assert_allclose(curvature(c), -5.0, atol=1e-8)
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -127,8 +126,8 @@ def test_curvature_complement_sign():
 
 def test_surface_laplacian_constant():
     c = shapes.circle(0.2, n=128)
-    out = surface_laplacian(c, CurveSamples(np.full(128, 3.3)))
-    assert np.abs(out.values).max() < 1e-9
+    out = surface_laplacian(c, np.full(128, 3.3))
+    assert np.abs(out).max() < 1e-9
 
 
 def test_surface_laplacian_circle_eigenfunction():
@@ -136,8 +135,8 @@ def test_surface_laplacian_circle_eigenfunction():
     c = shapes.circle(r, n=256)
     th = np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5)
     f = np.cos(k * th)
-    out = surface_laplacian(c, CurveSamples(f))
-    np.testing.assert_allclose(out.values, -((k / r) ** 2) * f, atol=1e-8 * (k / r) ** 2)
+    out = surface_laplacian(c, f)
+    np.testing.assert_allclose(out, -((k / r) ** 2) * f, atol=1e-8 * (k / r) ** 2)
 
 
 def test_derivative_lamella_mode():
@@ -145,10 +144,10 @@ def test_derivative_lamella_mode():
     x = c.markers()[:, 0]
     k = 3
     f = np.sin(2 * np.pi * k * x)
-    lap = surface_laplacian(c, CurveSamples(f))
-    np.testing.assert_allclose(lap.values, -((2 * np.pi * k) ** 2) * f, atol=1e-7)
+    lap = surface_laplacian(c, f)
+    np.testing.assert_allclose(lap, -((2 * np.pi * k) ** 2) * f, atol=1e-7)
     # first derivative: d/ds picks a sign from the travel direction
-    d = arclength_derivative(c, CurveSamples(f)).values
+    d = arclength_derivative(c, f)
     sl = c.loop_slices()
     expect = 2 * np.pi * k * np.cos(2 * np.pi * k * x)
     np.testing.assert_allclose(d[sl[0]], expect[sl[0]], atol=1e-8 * 2 * np.pi * k)
@@ -157,8 +156,8 @@ def test_derivative_lamella_mode():
 
 def test_arclength_derivative_constant():
     c = shapes.circle(0.2, n=64)
-    out = arclength_derivative(c, CurveSamples(np.full(64, 1.7)))
-    assert np.abs(out.values).max() < 1e-10
+    out = arclength_derivative(c, np.full(64, 1.7))
+    assert np.abs(out).max() < 1e-10
 
 
 def test_integration_by_parts():
@@ -166,11 +165,11 @@ def test_integration_by_parts():
     th = np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5)
     f = np.cos(2 * th) + 0.3 * np.sin(th)
     g = np.sin(2 * th) + 0.5 * np.cos(th) + 0.1
-    lhs = integrate_ds(c, surface_laplacian(c, CurveSamples(f)).values * g)
+    lhs = integrate_ds(c, surface_laplacian(c, f) * g)
     rhs = -integrate_ds(
         c,
-        arclength_derivative(c, CurveSamples(f)).values
-        * arclength_derivative(c, CurveSamples(g)).values,
+        arclength_derivative(c, f)
+        * arclength_derivative(c, g),
     )
     assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
@@ -237,10 +236,10 @@ def test_area_perimeter_convergence_order():
 
 def test_gauss_bonnet():
     c = shapes.perturbed_circle(0.2, 0.01, 3, n=128)
-    total = integrate_ds(c, curvature(c).values)
+    total = integrate_ds(c, curvature(c))
     np.testing.assert_allclose(total, 2 * np.pi, rtol=1e-8)
     lam = shapes.strip(0.3, n=64)
-    assert abs(integrate_ds(lam, curvature(lam).values)) < 1e-10
+    assert abs(integrate_ds(lam, curvature(lam))) < 1e-10
 
 
 def test_orientation_error_nested_loops():
@@ -266,7 +265,7 @@ def test_orientation_error_unbalanced_winding():
 def test_signed_distance_circle():
     c = shapes.circle(0.2, n=256)
     g = signed_distance_grid(c, 64)
-    assert abs(g.values[32, 32] + 0.2) < 1e-4
+    assert abs(g[32, 32] + 0.2) < 1e-4
     on_boundary = signed_distance_points(c, np.array([[0.7, 0.5]]))
     assert abs(on_boundary[0]) < 1e-6
 
@@ -287,9 +286,9 @@ def test_signed_distance_grid_rejects_small():
 
 def test_height_trivial_and_offset():
     ref = shapes.circle(0.2, n=128)
-    assert np.abs(height_function(ref, ref).values).max() < 1e-12
+    assert np.abs(height_function(ref, ref)).max() < 1e-12
     psi = height_function(shapes.circle(0.21, n=128), ref)
-    np.testing.assert_allclose(psi.values, 0.01, atol=1e-10)
+    np.testing.assert_allclose(psi, 0.01, atol=1e-10)
 
 
 def test_height_lamella_mode():
@@ -299,7 +298,7 @@ def test_height_lamella_mode():
     p = np.zeros(base.n_markers)
     p[sl[1]] = 0.01 * np.sin(2 * np.pi * x[sl[1]])
     psi = height_function(shapes.graph_over(base, p), base)
-    np.testing.assert_allclose(psi.values, p, atol=1e-10)
+    np.testing.assert_allclose(psi, p, atol=1e-10)
 
 
 def test_height_graph_failure():
