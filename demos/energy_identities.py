@@ -7,9 +7,9 @@ Along either flow the energy J = perimeter + gamma * int |Dv_E|^2 obeys
 
 and differentiating the dissipation itself exposes the second-variation
 quadratic form plus cubic remainders.  The first identity is verified along a
-trajectory (centered differences of the recorded energies); the second at a
-frozen state, with the left side obtained from two virtually advanced
-curves.  Residuals here sit many orders below the few-percent level the
+trajectory of SSD steps (centered differences of the recorded energies); the
+second at a frozen state, with the left side obtained from two virtually
+advanced curves.  Residuals here sit many orders below the few-percent level the
 tolerances ask for.
 
 Run:  python demos/energy_identities.py
@@ -30,7 +30,7 @@ dt = 6.4e-5
 state = make_state(
     shapes.perturbed_strip(0.5, 1e-3, 1, n=128),
     "sd",
-    params=FlowParams(scheme="ssd", dt=dt),
+    params=FlowParams(dt=dt),
 )
 trace = EnergyTrace()
 _record(state, trace, None)

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import ResolutionError, SingularityError
-from .fields import potential_of_set
 from .geometry import curvature, integrate_ds
 
 # solve_jump refuses a system whose estimated 1-norm condition number exceeds this.
@@ -306,17 +305,6 @@ def solve_jump(curve, g, operator=None):
         weights=op.weights,
         rcond=float(rcond),
     )
-
-
-def ms_boundary_data(curve, gamma, grid_n=256):
-    """(g, v) with g = H + 4 gamma v_E at the markers, the Dirichlet datum of
-    the MS flow; v is the grid potential v_E, None at gamma = 0.  The flow and
-    the criticality residual take the datum from here."""
-    kap = curvature(curve)
-    if gamma == 0.0:
-        return kap, None
-    v, trace = potential_of_set(curve, n=grid_n)
-    return kap + 4.0 * gamma * trace, v
 
 
 def write_jump_csv(solution, path):

@@ -124,6 +124,8 @@ def cmd_stability(cp):
     n_modes = _getint_at_least(cp, "stability", "n_modes", 1)
     grid_n = build_grid_n(cp)
     k_max = _getint(cp, "stability", "k_max")
+    if k_max is not None and not 0 <= k_max <= variation.LAMELLA_K_MAX:
+        raise ConfigError(f"stability.k_max must lie in 0..{variation.LAMELLA_K_MAX}")
     if k_max:
         lamella_h = _getfloat(cp, "stability", "lamella_h")
         if lamella_h is None or not 0.0 < lamella_h < 1.0:

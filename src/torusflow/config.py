@@ -42,7 +42,6 @@ kind = sd
 gamma = 0.0
 t_end = 1e-3
 scheme = ssd
-c_cfl =
 dt =
 max_steps = 1000000
 
@@ -84,8 +83,10 @@ def _base_parser():
 
 
 def load_config(path=None, overrides=(), env=None):
-    """Resolve the scenario configuration with full precedence handling."""
+    """Resolve the scenario configuration with full precedence handling; a
+    section or key that DEFAULTS does not list is a config error."""
     cp = _base_parser()
+    known = {section: set(cp.options(section)) for section in cp.sections()}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"scenario file not found: {path}")
@@ -113,6 +114,12 @@ def load_config(path=None, overrides=(), env=None):
         if not cp.has_section(section):
             raise ConfigError(f"unknown config section '{section}'")
         cp.set(section, opt, val)
+    for section in cp.sections():
+        if section not in known:
+            raise ConfigError(f"unknown config section '{section}'")
+        unknown = sorted(set(cp.options(section)) - known[section])
+        if unknown:
+            raise ConfigError(f"unknown config key '{section}.{unknown[0]}'")
     return cp
 
 
@@ -269,16 +276,10 @@ def build_flow_state(cp, curve):
     kind = f.get("kind").strip()
     if kind not in ("ms", "sd"):
         raise ConfigError("flow.kind must be 'ms' or 'sd'")
-    scheme = f.get("scheme").strip()
-    if scheme not in ("rk4", "ssd"):
-        raise ConfigError("flow.scheme must be 'rk4' or 'ssd'")
+    if f.get("scheme").strip() != "ssd":
+        raise ConfigError("flow.scheme must be 'ssd'; the rk4 integrator was removed")
     gamma = _getfloat(cp, "flow", "gamma")
     if gamma is None or gamma < 0:
         raise ConfigError("flow.gamma must be >= 0")
-    params = FlowParams(
-        scheme=scheme,
-        c_cfl=_getfloat(cp, "flow", "c_cfl"),
-        dt=_getfloat(cp, "flow", "dt"),
-        grid_n=build_grid_n(cp),
-    )
+    params = FlowParams(dt=_getfloat(cp, "flow", "dt"), grid_n=build_grid_n(cp))
     return make_state(curve, kind, gamma=gamma, params=params)

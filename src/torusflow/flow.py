@@ -1,21 +1,16 @@
 """Time integration of the two flows with volume control and stopping surveillance.
 
-Two integrators:
+One integrator, the small-scale decomposition (SSD) of Hou, Lowengrub and
+Shelley in tangent-angle/length variables: the constant-coefficient leading
+symbol (-q^4 for surface diffusion, -2|q|^3 for Mullins-Sekerka) is applied
+through its exact exponential propagator in a Strang split around an explicit
+midpoint step for the lower-order remainder.  Stiffness imposes no step cap,
+so runs reach the decay time scale 1/lambda; every step is followed by a
+uniform-normal-offset volume correction.  The tests keep an explicit
+Runge-Kutta scheme on marker positions as an independent reference.
 
-* "rk4": classical explicit Runge-Kutta on marker positions moved along the
-  stage normals, stability-capped time step (fourth-order stiffness for
-  surface diffusion, third-order for Mullins-Sekerka), equal-arclength
-  resampling and a uniform-normal-offset volume correction after every step.
-
-* "ssd": a small-scale-decomposition scheme in tangent-angle/length
-  variables: the constant-coefficient leading symbol (-q^4 for surface
-  diffusion, -2|q|^3 for Mullins-Sekerka) is applied through its exact
-  exponential propagator in a Strang split around an explicit midpoint step
-  for the lower-order remainder.  This removes the stiffness cap and is the
-  integrator for runs that must reach the decay time scale.
-
-Both read the flow law (V, the dissipation and the energy) from one
-`Evaluation` per curve, the same object the identity checks in
+The step and the trace record read the flow law (V, the dissipation and the
+energy) from one `Evaluation` per curve, the same object the identity checks in
 `diagnostics` read.  The stopping monitor mirrors the proof-style surveillance: C^1 closeness to a
 reference via the height function, and a dissipation threshold; all stopping
 events are reported outcomes, not failures.
@@ -30,7 +25,7 @@ import numpy as np
 
 from . import bie
 from .errors import GraphFailure, ResolutionError, TopologyError
-from .fields import dirichlet_energy
+from .fields import dirichlet_energy, potential_of_set
 from .geometry import (
     MarkerLoop,
     PeriodicCurve,
@@ -44,18 +39,9 @@ from .geometry import (
     height_function,
     integrate_ds,
     perimeter,
-    resample_equal_arclength,
     surface_laplacian,
 )
 
-RK4_REAL_AXIS_LIMIT = 2.785
-# dt = c_cfl * STIFF_CONST * h^p keeps the highest resolved mode inside the
-# RK4 real-axis stability region (symbol q^4 resp. 2 q^3 at q = pi/h)
-STIFF_CONST = {
-    "sd": RK4_REAL_AXIS_LIMIT / np.pi**4,
-    "ms": RK4_REAL_AXIS_LIMIT / (2.0 * np.pi**3),
-}
-DEFAULT_C_CFL = {"sd": 0.2, "ms": 0.5}
 AREA_TOL = 1e-7  # a state's area may miss its target by this much
 ADVECTIVE_FRACTION = 0.25  # max|V| dt <= ADVECTIVE_FRACTION * h
 
@@ -118,9 +104,7 @@ class EnergyTrace:
 
 @dataclass
 class FlowParams:
-    scheme: str = "rk4"  # rk4 | ssd
-    c_cfl: float | None = None  # fraction of the RK4 stability limit
-    dt: float | None = None  # explicit step cap (ssd runs should set this)
+    dt: float | None = None  # step cap; the smallest marker spacing when unset
     grid_n: int = 256
 
 
@@ -219,8 +203,10 @@ class Evaluation:
     @cached_property
     def datum(self):
         """H + 4 gamma v_E at the markers, the Dirichlet datum of the MS flow."""
-        g, self._potential = bie.ms_boundary_data(self.curve, self.gamma, grid_n=self.grid_n)
-        return g
+        if self.gamma == 0.0:
+            return self.kappa
+        self._potential, trace = potential_of_set(self.curve, n=self.grid_n)
+        return self.kappa + 4.0 * self.gamma * trace
 
     @cached_property
     def criticality(self):
@@ -268,18 +254,10 @@ def _evaluate(state, curve=None):
 
 
 def adaptive_dt(state):
-    """Stability-capped step: c_cfl * C_stab * h^4 (sd) or h^3 (ms), further
-    limited so max|V| dt stays below a fraction of the marker spacing."""
-    p = state.params
+    """The step: params.dt (the smallest marker spacing h when unset), further
+    limited so max|V| dt stays below ADVECTIVE_FRACTION * h."""
     h = min(lp.length() / lp.n for lp in state.curve.components)
-    c_cfl = p.c_cfl if p.c_cfl is not None else DEFAULT_C_CFL[state.flow_kind]
-    if p.scheme == "ssd":
-        dt = p.dt if p.dt is not None else h
-    else:
-        power = 4 if state.flow_kind == "sd" else 3
-        dt = c_cfl * STIFF_CONST[state.flow_kind] * h**power
-        if p.dt is not None:
-            dt = min(dt, p.dt)
+    dt = state.params.dt if state.params.dt is not None else h
     vmax = float(np.abs(state.evaluation.V).max())
     if vmax > 0:
         dt = min(dt, ADVECTIVE_FRACTION * h / vmax)
@@ -300,21 +278,6 @@ def enforce_volume(curve, target_area):
     if delta == 0.0:
         return curve, 0.0
     return displace(curve, delta * curve.normals()), delta
-
-
-# -- RK4 ------------------------------------------------------------------------
-
-
-def _rk4_step(state, dt):
-    c0 = state.curve
-    k1 = state.evaluation.V[:, None] * c0.normals()
-    c2 = displace(c0, 0.5 * dt * k1)
-    k2 = _evaluate(state, c2).V[:, None] * c2.normals()
-    c3 = displace(c0, 0.5 * dt * k2)
-    k3 = _evaluate(state, c3).V[:, None] * c3.normals()
-    c4 = displace(c0, dt * k3)
-    k4 = _evaluate(state, c4).V[:, None] * c4.normals()
-    return displace(c0, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 # -- SSD (tangent angle / length form) --------------------------------------------
@@ -430,16 +393,10 @@ def _ssd_step(state, dt):
 
 
 def step(state, dt):
-    """Advance one step, keep markers equidistributed, restore the volume."""
-    scheme = state.params.scheme
-    if scheme == "rk4":
-        newc = _rk4_step(state, dt)
-        newc = resample_equal_arclength(newc, state.curve.components[0].n)
-    elif scheme == "ssd":
-        newc = _ssd_step(state, dt)
-        newc.validate(probe_area=False)
-    else:
-        raise ValueError(f"unknown scheme '{scheme}'")
+    """Advance one SSD step (its tangential velocity keeps the markers
+    equidistributed), check the new curve, restore the volume."""
+    newc = _ssd_step(state, dt)
+    newc.validate(probe_area=False)
     # the stepped state is built from the corrected curve, so its area check
     # sees the area after the correction
     newc, delta = enforce_volume(newc, state.target_area)

@@ -86,11 +86,12 @@ class MarkerLoop:
 
     @classmethod
     def from_points(cls, points):
-        """Build from torus points in [0,1)^2; the lift is unwrapped by minimal images."""
+        """Build from torus points, wrapped or lifted; each point moves by whole
+        periods to the minimal image of its predecessor, so a lift comes back
+        bit-exact."""
         pts = np.asarray(points, dtype=float)
-        steps = np.diff(pts, axis=0)
-        steps -= np.round(steps)
-        lift = np.vstack([pts[:1], pts[:1] + np.cumsum(steps, axis=0)])
+        shifts = np.cumsum(np.round(np.diff(pts, axis=0)), axis=0)
+        lift = np.vstack([pts[:1], pts[1:] - shifts])
         last = pts[0] - lift[-1]
         last -= np.round(last)
         winding = np.round(lift[-1] + last - lift[0]).astype(int)
@@ -667,10 +668,10 @@ CSV_HEADER = "loop,idx,x,y,wind_x,wind_y,orient"
 
 
 def write_snapshot(curve, path):
-    """Curve snapshot CSV with coordinates at full float64 precision."""
+    """Curve snapshot CSV with the lifted coordinates at full float64 precision."""
     lines = [CSV_HEADER]
     for li, lp in enumerate(curve.components):
-        m = lp.markers
+        m = lp.lift
         for j in range(lp.n):
             lines.append(
                 f"{li},{j},{m[j, 0]:.17g},{m[j, 1]:.17g},"

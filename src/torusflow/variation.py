@@ -29,6 +29,7 @@ TRANSLATION_REL_TOL = 1e-10  # trace norm, relative to the perimeter, of a kept 
 STAB_TOL_REL = 1e-6  # marginal band, relative to max(1, max |eigenvalue|)
 OVERLAP_THRESHOLD = 0.99  # translation overlap above which a mode is left out of the gap
 POINCARE_FLOOR = 1e-24  # int (H - Hbar)^2 below this counts as zero
+LAMELLA_K_MAX = 16  # largest strip count lamella_threshold scans (desk scale)
 
 
 def criticality_residual(curve, gamma, grid_n=256):
@@ -297,7 +298,7 @@ def lamella_threshold(
     The four assembled matrices are gamma-independent, so a dict passed as
     `cache` lets gamma sweeps reuse them across calls.
     """
-    if k_max > 16:
+    if k_max > LAMELLA_K_MAX:
         raise ValueError("k_max beyond desk scale")
     for k in range(1, k_max + 1):
         key = (k, h, n_per_loop, n_modes, grid_n)

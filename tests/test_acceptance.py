@@ -98,7 +98,7 @@ def test_acceptance_1_stationary_equilibria():
 
 def _conservation_run(kind, n, dt, gamma=0.0):
     p = shapes.perturbed_strip(0.5, 1e-3, 1, n=n)
-    st = make_state(p, kind, gamma=gamma, params=FlowParams(scheme="ssd", dt=dt))
+    st = make_state(p, kind, gamma=gamma, params=FlowParams(dt=dt))
     res = run(st, t_end=2000 * dt, max_steps=2001)
     J = res.trace.column("J")
     A = res.trace.column("area")
@@ -135,7 +135,7 @@ def test_acceptance_2_conservation_monotonicity():
 
 def _identity_run(kind, dt, steps, n=128):
     p = shapes.perturbed_strip(0.5, 1e-3, 1, n=n)
-    st = make_state(p, kind, params=FlowParams(scheme="ssd", dt=dt))
+    st = make_state(p, kind, params=FlowParams(dt=dt))
     trace = EnergyTrace()
     _record(st, trace, None)
     for _ in range(steps):
@@ -336,7 +336,7 @@ def _fit_mode_decay(kind, mode, n=128, steps=40, which="top"):
     dt = 0.1 / rate
     ref = shapes.strip(0.5, n=n)
     p = shapes.perturbed_strip(0.5, 1e-3, mode, n=n, which=which)
-    st = make_state(p, kind, params=FlowParams(scheme="ssd", dt=dt))
+    st = make_state(p, kind, params=FlowParams(dt=dt))
     ts, amps = [0.0], [_mode_amplitude(st.curve, ref, mode)]
     trace = EnergyTrace()
     _record(st, trace, None)
@@ -378,7 +378,7 @@ def _stability_run(kind, dt, t_end, order):
     ref = shapes.circle(0.2, n=256)
     # |E_0| = |F| per the stability theorems: volume-match the perturbation
     p = shapes.with_area(shapes.perturbed_circle(0.2, 5e-3, 2, n=256), enclosed_area(ref))
-    st = make_state(p, kind, params=FlowParams(scheme="ssd", dt=dt))
+    st = make_state(p, kind, params=FlowParams(dt=dt))
     mon = StoppingMonitor(eps0=0.5, delta0=100.0, reference=ref)
     res = run(st, monitor=mon, t_end=t_end)
     psi = height_function(res.state.curve, ref)

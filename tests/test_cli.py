@@ -77,6 +77,12 @@ def test_bad_config_raises(tmp_path):
         build_geometry(cp)
     with pytest.raises(ConfigError):
         load_config(None, overrides=["notdotted=3"])
+    # a key or section DEFAULTS does not list fails from the file and the env too
+    for name, body in [("key.ini", "[flow]\ntend = 1\n"), ("sec.ini", "[flows]\nkind = sd\n")]:
+        with pytest.raises(ConfigError, match="unknown config"):
+            load_config(write_ini(tmp_path, body, name=name), env={})
+    with pytest.raises(ConfigError, match="unknown config key 'flow.c_cfl'"):
+        load_config(None, env={"TORUSFLOW_FLOW_C_CFL": "0.5"})
 
 
 def test_simulate_end_to_end(tmp_path):
@@ -257,12 +263,18 @@ def test_small_grid_is_config_error(tmp_path, capsys):
         ("stability", ["stability.gammas=abc"]),
         ("stability", ["stability.lamella_h=", "stability.k_max=1"]),
         ("simulate", ["geometry.center=0.5"]),
+        ("simulate", ["flow.tend=1"]),
+        ("simulate", ["flow.c_cfl=0.5"]),
+        ("simulate", ["flow.scheme=rk4"]),
+        ("stability", ["stability.k_max=17"]),
     ],
-    ids=["max_steps", "verify_steps", "n_modes", "gammas", "lamella_h", "center"],
+    ids=["max_steps", "verify_steps", "n_modes", "gammas", "lamella_h", "center", "tend",
+         "c_cfl", "scheme", "k_max"],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, command, overrides):
-    # an empty, non-numeric or short value is a config error (2), not an
-    # internal error (3)
+    # an empty, non-numeric, short or out-of-range value, an unknown key and a
+    # removed scheme are config errors (2), not internal errors (3) or
+    # silently ignored
     args = [command, "-o", f"output.dir={tmp_path}"]
     for ov in overrides:
         args += ["-o", ov]

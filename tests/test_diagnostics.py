@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusflow import bie, shapes
+from torusflow import flow, shapes
 from torusflow.diagnostics import (
     asymmetry_distance,
     discrete_sobolev_norm,
@@ -41,9 +41,10 @@ def _fresh_interpreter(code):
 
 
 def test_layering_flow_below_diagnostics():
-    # geometry <- fields <- bie <- flow <- variation <- diagnostics: the
+    # geometry <- fields, bie <- flow <- variation <- diagnostics: the
     # diagnostics import on their own, the flow pulls in neither variation nor
-    # diagnostics, and the signed distance grid needs no fields
+    # diagnostics, and neither the single layer nor the signed distance grid
+    # needs fields
     assert _fresh_interpreter("import torusflow.diagnostics; print('ok')") == "ok"
     code = (
         "import sys, torusflow.flow; "
@@ -55,6 +56,8 @@ def test_layering_flow_below_diagnostics():
         "geometry.signed_distance_grid(shapes.circle(0.2, n=64), 64); "
         "print('torusflow.fields' in sys.modules)"
     )
+    assert _fresh_interpreter(code) == "False"
+    code = "import sys, torusflow.bie; print('torusflow.fields' in sys.modules)"
     assert _fresh_interpreter(code) == "False"
 
 
@@ -107,13 +110,13 @@ def test_second_identity_ms_perturbed():
 def test_ms_identity_check_computes_three_potentials(monkeypatch):
     # the base curve's grid potential serves its datum and its criticality
     # residual; each of the two advanced curves needs one more
-    original, calls = bie.potential_of_set, []
+    original, calls = flow.potential_of_set, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(bie, "potential_of_set", counted)
+    monkeypatch.setattr(flow, "potential_of_set", counted)
     verify_second_identity_ms(shapes.perturbed_strip(0.4, 1e-2, 1, n=96), gamma=5.0)
     assert len(calls) == 3
 

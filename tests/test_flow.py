@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
+import rk4_reference
 from torusflow import shapes
 from torusflow.flow import (
+    ADVECTIVE_FRACTION,
     AREA_TOL,
-    DEFAULT_C_CFL,
     Evaluation,
     FlowParams,
     StoppingMonitor,
     _evaluate,
-    _rk4_step,
     adaptive_dt,
     enforce_volume,
     make_state,
@@ -52,25 +52,26 @@ def test_sd_linearized_velocity():
 
 
 def test_adaptive_dt_scaling():
-    p1 = shapes.perturbed_strip(0.5, 1e-6, 1, n=64)
-    p2 = shapes.perturbed_strip(0.5, 1e-6, 1, n=128)
-    sd1 = adaptive_dt(make_state(p1, "sd"))
-    sd2 = adaptive_dt(make_state(p2, "sd"))
-    assert sd1 / sd2 == pytest.approx(16.0, rel=1e-6)
-    ms1 = adaptive_dt(make_state(p1, "ms"))
-    ms2 = adaptive_dt(make_state(p2, "ms"))
-    assert ms1 / ms2 == pytest.approx(8.0, rel=2e-2)
-    assert DEFAULT_C_CFL == {"sd": 0.2, "ms": 0.5}
+    # a user dt below the advective cap is taken as given; without one the
+    # step is the advective cap ADVECTIVE_FRACTION * h / max|V|
+    p = shapes.perturbed_strip(0.5, 1e-2, 2, n=64)
+    h = min(lp.length() / lp.n for lp in p.components)
+    for kind in ("sd", "ms"):
+        st = make_state(p, kind)
+        vmax = np.abs(st.evaluation.V).max()
+        assert ADVECTIVE_FRACTION * h / vmax < h
+        assert adaptive_dt(st) == ADVECTIVE_FRACTION * h / vmax
+        dt = 0.5 * ADVECTIVE_FRACTION * h / vmax
+        assert adaptive_dt(make_state(p, kind, params=FlowParams(dt=dt))) == dt
 
 
 def test_adaptive_dt_zero_velocity_cap():
+    # V = 0 on a flat strip: the step is the user dt, else the smallest spacing
     st = make_state(shapes.strip(0.5, n=64), "sd")
-    h = 0.5 / 64 * 32  # min spacing: loops of length 1 with 64 markers
-    dt = adaptive_dt(st)
-    from torusflow.flow import RK4_REAL_AXIS_LIMIT
-
-    expect = 0.2 * RK4_REAL_AXIS_LIMIT / np.pi**4 * (1 / 64) ** 4
-    assert dt == pytest.approx(expect, rel=1e-12)
+    assert np.abs(st.evaluation.V).max() < 1e-8
+    assert adaptive_dt(st) == pytest.approx(1 / 64, rel=1e-12)  # loops of length 1, 64 markers
+    st = make_state(shapes.strip(0.5, n=64), "sd", params=FlowParams(dt=0.3))
+    assert adaptive_dt(st) == 0.3
 
 
 def test_enforce_volume():
@@ -93,7 +94,7 @@ def test_step_checks_area_after_volume_correction():
     # the raw SSD step drifts the area by more than AREA_TOL; the stepped state
     # is built from the volume-corrected curve, so the run completes
     p = shapes.perturbed_circle(0.2, 0.03, 3, n=64)
-    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-4))
+    st = make_state(p, "sd", params=FlowParams(dt=1e-4))
     res = run(st, t_end=1e-3)
     assert res.event == "completed"
     drift = np.abs(res.trace.column("volume_correction")) * res.trace.column("perimeter")
@@ -109,20 +110,21 @@ def test_step_zero_velocity_identity():
 
 
 def test_rk4_self_convergence_order():
-    # one step vs two half-steps vs four quarter-steps (pure RK4 substeps,
-    # no resampling) measured through the height over the unperturbed circle.
-    # 16 markers keep the stability cap close to the physical time scale so
-    # the dt^5 local error is measurable above round-off.
+    # the test-side RK4 reference: one step vs two half-steps vs four
+    # quarter-steps (pure RK4 substeps, no resampling) measured through the
+    # height over the unperturbed circle.  16 markers keep the stability cap
+    # close to the physical time scale so the dt^5 local error is measurable
+    # above round-off.
     base = shapes.circle(0.2, n=16)
     c0 = shapes.perturbed_circle(0.2, 5e-3, 2, n=16)
     st = make_state(c0, "ms")
-    dt = 0.9 * adaptive_dt(st)
+    dt = 0.9 * rk4_reference.stable_dt(st)
 
     def advance(n_sub):
         cur = st
         out = cur.curve
         for _ in range(n_sub):
-            out = _rk4_step(cur, dt / n_sub)
+            out = rk4_reference.rk4_step(cur, dt / n_sub)
             cur = make_state(out, "ms")
         return height_function(out, base)
 
@@ -139,29 +141,32 @@ def test_rk4_time_reversal():
     errs = []
     for fac in (0.8, 0.4):
         st = make_state(c0, "ms")
-        dt = fac * adaptive_dt(st)
-        fwd = _rk4_step(st, dt)
-        back = _rk4_step(make_state(fwd, "ms"), -dt)
+        dt = fac * rk4_reference.stable_dt(st)
+        fwd = rk4_reference.rk4_step(st, dt)
+        back = rk4_reference.rk4_step(make_state(fwd, "ms"), -dt)
         errs.append(np.abs(back.lifts() - c0.lifts()).max())
     assert errs[0] < 1e-7
     assert errs[0] / errs[1] >= 20  # at least the dt^5 local-error scaling
 
 
 def test_run_conservation_and_monotonicity_rk4():
+    # the reference's resample-plus-volume loop conserves and dissipates too
     p = shapes.perturbed_strip(0.5, 1e-3, 1, n=96)
     st = make_state(p, "sd")
-    res = run(st, t_end=60 * adaptive_dt(st))
-    J = res.trace.column("J")
-    A = res.trace.column("area")
-    assert res.event == "completed"
+    t_end = 60 * rk4_reference.stable_dt(st)
+    final, trace = rk4_reference.run(st, t_end)
+    J = trace.column("J")
+    A = trace.column("area")
+    assert final.time == pytest.approx(t_end, rel=1e-12)
+    assert len(trace) >= 61
     assert np.all(np.diff(J) <= 1e-9 * np.abs(J[:-1]))
     assert np.abs(A - A[0]).max() / A[0] < 1e-6
-    assert np.all(res.trace.column("dissipation") >= 0)
+    assert np.all(trace.column("dissipation") >= 0)
 
 
 def test_run_ms_gamma_positive_monotone():
     p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
-    params = FlowParams(scheme="ssd", dt=2e-5, grid_n=128)
+    params = FlowParams(dt=2e-5, grid_n=128)
     st = make_state(p, "ms", gamma=1.0, params=params)
     res = run(st, t_end=40 * 2e-5)
     J = res.trace.column("J")
@@ -178,7 +183,7 @@ def test_nonlocal_energy_only_at_records(monkeypatch):
     energy = flow_mod.dirichlet_energy
     monkeypatch.setattr(flow_mod, "dirichlet_energy", lambda v: calls.append(1) or energy(v))
     p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
-    params = FlowParams(scheme="ssd", dt=2e-5, grid_n=128)
+    params = FlowParams(dt=2e-5, grid_n=128)
     res = run(make_state(p, "ms", gamma=1.0, params=params), t_end=2 * 2e-5)
     assert res.event == "completed"
     assert len(res.trace) == 3
@@ -190,10 +195,11 @@ def test_evaluation_computes_each_quantity_once(monkeypatch):
     # is read first; a gamma=0 MS SSD run solves one jump system per record
     # and one per stage (two per step)
     import torusflow.bie as bie_mod
+    import torusflow.flow as flow_mod
 
     potentials, jumps = [], []
-    potential, solve = bie_mod.potential_of_set, bie_mod.solve_jump
-    monkeypatch.setattr(bie_mod, "potential_of_set",
+    potential, solve = flow_mod.potential_of_set, bie_mod.solve_jump
+    monkeypatch.setattr(flow_mod, "potential_of_set",
                         lambda *a, **k: potentials.append(1) or potential(*a, **k))
     monkeypatch.setattr(bie_mod, "solve_jump", lambda *a, **k: jumps.append(1) or solve(*a, **k))
     strip = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
@@ -205,7 +211,7 @@ def test_evaluation_computes_each_quantity_once(monkeypatch):
         assert len(potentials) == 1
         assert ev.nonlocal_energy > 0
     jumps.clear()
-    st = make_state(strip, "ms", params=FlowParams(scheme="ssd", dt=2e-5))
+    st = make_state(strip, "ms", params=FlowParams(dt=2e-5))
     res = run(st, t_end=3 * 2e-5)
     assert res.event == "completed" and len(res.trace) == 4
     assert len(jumps) == 1 + 3 * 3
@@ -220,7 +226,7 @@ def test_record_reads_state_area(monkeypatch):
     area = flow_mod.enclosed_area
     monkeypatch.setattr(flow_mod, "enclosed_area", lambda c: calls.append(1) or area(c))
     st = make_state(shapes.perturbed_strip(0.5, 1e-3, 1, n=64), "sd",
-                    params=FlowParams(scheme="ssd", dt=5e-5))
+                    params=FlowParams(dt=5e-5))
     calls.clear()
     res = run(st, t_end=4 * 5e-5)
     assert res.event == "completed"
@@ -231,7 +237,7 @@ def test_record_reads_state_area(monkeypatch):
 def test_run_determinism():
     def one():
         p = shapes.perturbed_strip(0.5, 1e-3, 1, n=64)
-        st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=5e-5))
+        st = make_state(p, "sd", params=FlowParams(dt=5e-5))
         return run(st, t_end=8 * 5e-5).trace
 
     t1, t2 = one(), one()
@@ -244,7 +250,7 @@ def test_tilted_lamella_stationary_and_steppable():
     tilted = shapes.strip(0.3, angle=45, n=128)
     assert np.abs(_evaluate(make_state(tilted, "sd")).V).max() < 1e-8
     assert np.abs(_evaluate(make_state(tilted, "ms", gamma=1.0)).V).max() < 1e-7
-    st = make_state(tilted, "sd", params=FlowParams(scheme="ssd", dt=1e-5))
+    st = make_state(tilted, "sd", params=FlowParams(dt=1e-5))
     res = run(st, t_end=5e-5)
     assert res.event == "completed"
     assert abs(enclosed_area(res.state.curve) - 0.3) < 1e-9
@@ -252,7 +258,7 @@ def test_tilted_lamella_stationary_and_steppable():
 
 def test_run_stationary_circle_energy_constant():
     st = make_state(
-        shapes.circle(0.2, n=128), "sd", params=FlowParams(scheme="ssd", dt=2e-5)
+        shapes.circle(0.2, n=128), "sd", params=FlowParams(dt=2e-5)
     )
     res = run(st, t_end=1e-3)
     J = res.trace.column("J")
@@ -263,7 +269,7 @@ def test_run_stationary_circle_energy_constant():
 def test_run_graph_failure_event():
     # reference far from the curve: the C^1 surveillance cannot see a graph
     p = shapes.perturbed_strip(0.5, 1e-3, 1, n=64)
-    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-6))
+    st = make_state(p, "sd", params=FlowParams(dt=1e-6))
     mon = StoppingMonitor(eps0=1.0, delta0=1e9, reference=shapes.circle(0.2, n=64))
     res = run(st, monitor=mon, t_end=1e-5)
     assert res.event == "graph_failure"
@@ -277,7 +283,7 @@ def test_run_keeps_reason_of_failed_step(monkeypatch):
     from torusflow.errors import ResolutionError
 
     p = shapes.perturbed_strip(0.5, 1e-3, 1, n=64)
-    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-6))
+    st = make_state(p, "sd", params=FlowParams(dt=1e-6))
     assert run(st, t_end=2e-6).reason == ""
 
     def failing_step(state, dt):
@@ -291,7 +297,7 @@ def test_run_keeps_reason_of_failed_step(monkeypatch):
 
 def test_monitor_dissipation_event():
     p = shapes.perturbed_strip(0.5, 1e-3, 1, n=64)
-    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-6))
+    st = make_state(p, "sd", params=FlowParams(dt=1e-6))
     mon = StoppingMonitor(eps0=1.0, delta0=1e-12, reference=shapes.strip(0.5, n=64))
     res = run(st, monitor=mon, t_end=1e-4)
     assert res.event == "dissipation_exceeded"
@@ -300,7 +306,7 @@ def test_monitor_dissipation_event():
 
 def test_monitor_c1_event():
     p = shapes.perturbed_strip(0.5, 2e-3, 1, n=64)
-    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=1e-6))
+    st = make_state(p, "sd", params=FlowParams(dt=1e-6))
     mon = StoppingMonitor(eps0=1e-4, delta0=1e9, reference=shapes.strip(0.5, n=64))
     res = run(st, monitor=mon, t_end=1e-4)
     assert res.event == "c1_exceeded"
@@ -312,21 +318,21 @@ def test_monitor_threshold_validation():
 
 
 def test_ssd_matches_rk4_short_horizon():
-    # the two integrators agree on a resolvable horizon
+    # the flow and the test-side RK4 reference agree on a resolvable horizon
     p = shapes.perturbed_strip(0.5, 1e-3, 2, n=64)
     st_r = make_state(p, "sd")
-    t_end = 30 * adaptive_dt(st_r)
-    res_r = run(st_r, t_end=t_end)
-    st_s = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=t_end / 60))
+    t_end = 30 * rk4_reference.stable_dt(st_r)
+    final_r, _ = rk4_reference.run(st_r, t_end)
+    st_s = make_state(p, "sd", params=FlowParams(dt=t_end / 60))
     res_s = run(st_s, t_end=t_end)
     base = shapes.strip(0.5, n=64)
-    pr = height_function(res_r.state.curve, base)
+    pr = height_function(final_r.curve, base)
     ps = height_function(res_s.state.curve, base)
     assert np.abs(pr - ps).max() < 1e-3 * max(np.abs(pr).max(), 1e-12) + 1e-12
 
 
 def test_snapshots_collected():
     p = shapes.perturbed_strip(0.5, 1e-3, 1, n=64)
-    st = make_state(p, "sd", params=FlowParams(scheme="ssd", dt=5e-5))
+    st = make_state(p, "sd", params=FlowParams(dt=5e-5))
     res = run(st, t_end=10 * 5e-5, snapshot_every=4)
     assert len(res.snapshots) == 2

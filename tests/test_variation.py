@@ -91,6 +91,25 @@ def test_matrix_parts_symmetric_and_definite(circle_spectrum):
     assert np.linalg.eigvalsh(mat.nonlocal_kernel_part).min() > -1e-10
 
 
+def test_assembly_computes_curvature_once(monkeypatch):
+    # the evaluation's curvature serves the curvature part and the datum
+    import sys
+
+    from torusflow import geometry
+
+    original, calls = geometry.curvature, []
+
+    def counted(curve):
+        calls.append(1)
+        return original(curve)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "torusflow" and getattr(mod, "curvature", None) is original:
+            monkeypatch.setattr(mod, "curvature", counted)
+    assemble_second_variation(shapes.lamella(1, 0.5, 64), 10.0, n_modes=4)
+    assert len(calls) == 1
+
+
 def test_gamma_linearity():
     lam = shapes.lamella(1, 0.5, 64)
     mat = assemble_second_variation(lam, 2.5, n_modes=4)
