@@ -12,6 +12,10 @@ and the one-sided derivatives follow from the adjoint double layer.
 Sign conventions pinned here (and verified against the Fourier strip oracle in
 the tests): [d_nu w] = d_nu w^+ - d_nu w^-, and with boundary data g = H the
 resulting normal velocity makes a perturbed disk relax back to the disk.
+
+The nonlocal potential v_E of the phase needs no grid either: its gradient on
+the curve is the single layer -2 S[nu], and its values and its Dirichlet
+energy come from the closed-form biharmonic Green function G2 (-Lap G2 = G).
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.special import zeta
 
 from .errors import ResolutionError, SingularityError
-from .geometry import curvature, integrate_ds
+from .geometry import _spectral_antiderivative_coeffs, curvature, integrate_ds
 
 # solve_jump refuses a system whose estimated 1-norm condition number exceeds this.
 COND_LIMIT = 1e12
@@ -125,6 +130,124 @@ def periodic_green_gradient(x, y=None):
     return np.stack([gx, gy], axis=-1)
 
 
+# -- the biharmonic Green function G2: -Lap G2 = G, zero mean --------------------
+
+_ZETA2 = np.pi**2 / 6.0
+_ZETA3 = float(zeta(3.0))
+# The zeta-corrected trapezoid rule (Wu & Martinsson, Adv. Comput. Math. 47, 2021):
+# a trapezoid sum of spacing w over an integrand s^2 log|s| phi(s) at its node
+# s = 0 gains 2 zeta'(-2) w^3 phi(0), zeta'(-2) = -zeta(3)/(4 pi^2).  G2's singular
+# part is r^2 log r / (8 pi), so its correction is this constant times w^3 phi(0).
+_ZETA_R2LOG = 2.0 * (-_ZETA3 / (4.0 * np.pi**2)) / (8.0 * np.pi)
+_POLYLOG_TERMS = 48
+
+
+def _polylog_tables():
+    """Coefficients a_j = zeta(-1-2j)/(2j+3)! and b_j = a_j/(2j+4) of the log-series
+    Li2(e^mu) = zeta(2) + mu (1 - log(-mu)) - mu^2/4 + mu^3 sum_j a_j mu^2j and
+    Li3(e^mu) = zeta(3) + zeta(2) mu + mu^2 (3/2 - log(-mu))/2 - mu^3/12
+                + mu^4 sum_j b_j mu^2j,   |mu| < 2 pi,
+    with zeta(-1-2j) from the functional equation, built once and read-only."""
+    j = np.arange(_POLYLOG_TERMS)
+    a = (2.0 * (-1.0) ** (j + 1) * zeta(2.0 * j + 2.0)
+         / ((2.0 * np.pi) ** (2 * j + 2) * (2 * j + 2) * (2 * j + 3)))
+    b = a / (2 * j + 4)
+    for arr in (a, b):
+        arr.flags.writeable = False
+    return a, b
+
+
+_LI_A, _LI_B = _polylog_tables()
+_LI_POWERS = 2 * np.arange(_POLYLOG_TERMS) + 3
+# Per m = 1.._GREEN_SERIES_TERMS, with a = 2 pi m and r = e^(-a): the periodic
+# images of the cylinder term of G2 are cos(2 pi m x) (A_m (p + q) + B_m u (p - q)),
+# p = e^(-a (1+u)), q = e^(-a (1-u)); their u-derivative is
+# cos(2 pi m x) (C_m (q - p) - D_m u (p + q)).
+_A2 = 2.0 * np.pi * _SERIES_M
+_R2 = np.exp(-_A2)
+_G2_A = (1.0 + _A2 / (1.0 - _R2)) / (2.0 * _A2**3 * (1.0 - _R2))
+_G2_B = 1.0 / (2.0 * _A2**2 * (1.0 - _R2))
+_G2_C = 1.0 / (2.0 * _A2 * (1.0 - _R2) ** 2)
+_G2_D = 1.0 / (2.0 * _A2 * (1.0 - _R2))
+
+
+def _polylogs(mu, third=True):
+    """(Li2(e^mu), Li3(e^mu) or None) by the log-series, for 0 < |mu| < 2 pi.
+
+    The series converge geometrically in |mu|/2pi, at most 1/sqrt(2) on the
+    wrapped cell; they are summed while a_j |mu|^(2j+3) exceeds 1e-16.
+    """
+    mu_max = float(np.abs(mu).max())
+    terms = max(2, int(np.count_nonzero(np.abs(_LI_A) * mu_max ** _LI_POWERS > 1e-16)) + 1)
+    z = mu * mu
+    p2 = np.full_like(mu, _LI_A[terms - 1])
+    p3 = np.full_like(mu, _LI_B[terms - 1]) if third else None
+    for j in range(terms - 2, -1, -1):
+        p2 *= z
+        p2 += _LI_A[j]
+        if third:
+            p3 *= z
+            p3 += _LI_B[j]
+    log_m = np.log(-mu)
+    mu3 = z * mu
+    li2 = _ZETA2 + mu * (1.0 - log_m) - 0.25 * z + mu3 * p2
+    if not third:
+        return li2, None
+    li3 = _ZETA3 + _ZETA2 * mu + 0.5 * z * (1.5 - log_m) - mu3 / 12.0 + (mu3 * mu) * p3
+    return li2, li3
+
+
+def _green2_raw(dx, dy):
+    """G2 from wrapped displacements, not at the origin: the mode-0 term
+    -B4(u)/24, the cylinder sum Re[Li3(q) + 2 pi u Li2(q)]/(16 pi^3) with
+    u = |dy| and q = e^(2 pi i (dx + i u)), and the periodic images."""
+    u = np.abs(dy)
+    li2, li3 = _polylogs((2.0 * np.pi) * (1j * dx - u))
+    out = (1.0 / 30.0 - (u * (1.0 - u)) ** 2) / 24.0
+    out += (li3.real + (2.0 * np.pi) * u * li2.real) / (16.0 * np.pi**3)
+    for m, (_, c, _, p, q) in enumerate(_modes(dx, dy, _GREEN_SERIES_TERMS)):
+        out += c * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
+    return out
+
+
+def _green2_gradient_raw(dx, dy):
+    """(d_x G2, d_y G2) from wrapped displacements, not at the origin; the
+    cylinder sum differentiates to Li2(q) and log(1 - q)."""
+    u = np.abs(dy)
+    mu = (2.0 * np.pi) * (1j * dx - u)
+    li2, _ = _polylogs(mu, third=False)
+    log1q = np.log(-np.expm1(mu))
+    gx = (2.0 * np.pi * u * log1q.imag - li2.imag) / (8.0 * np.pi**2)
+    gu = u * log1q.real / (4.0 * np.pi) - u * (u - 0.5) * (u - 1.0) / 6.0
+    for m, (_, c, s, p, q) in enumerate(_modes(dx, dy, _GREEN_SERIES_TERMS, sines=True)):
+        gx -= _A2[m] * s * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
+        gu += c * (_G2_C[m] * (q - p) - _G2_D[m] * u * (p + q))
+    return gx, np.sign(dy) * gu
+
+
+def biharmonic_green_kernel(x, y=None):
+    """G2(x - y) with -Lap G2 = G and zero mean, i.e. the Fourier series
+    sum_(k != 0) e^(2 pi i k.x) / (16 pi^4 |k|^4), in closed form.
+
+    G2 is finite at the origin (its singular part is r^2 log r / 8pi) but,
+    like `periodic_green_kernel`, is evaluated only at distinct points; see
+    `biharmonic_green_origin`.
+    """
+    dx, dy, _ = _separation(x, y)
+    return _green2_raw(dx, dy)
+
+
+def biharmonic_green_gradient(x, y=None):
+    """Gradient of G2 with respect to its first argument."""
+    dx, dy, _ = _separation(x, y)
+    return np.stack(_green2_gradient_raw(dx, dy), axis=-1)
+
+
+def biharmonic_green_origin():
+    """G2(0) = 1/720 + zeta(3)/(16 pi^3) plus the periodic images at u = 0."""
+    return 1.0 / 720.0 + _ZETA3 / (16.0 * np.pi**3) + float(np.sum(2.0 * _R2 * _G2_A))
+
+
 def _kress_log_weights(n):
     """Quadrature weights R_{i-j} with sum_j R_{i-j} f(t_j) approximating
     int_0^{2pi} log(4 sin^2((t_i - s)/2)) f(s) ds, spectrally exact for
@@ -206,8 +329,8 @@ def assemble_single_layer(curve):
     return SingleLayerOperator(kernel=kernel, weights=weights)
 
 
-def potential_normal_derivative(curve, operator=None):
-    """d_nu v_E on the curve through the single-layer identity Dv_E = -2 S[nu].
+def potential_gradient(curve, operator=None):
+    """Dv_E at the markers, (n, 2), through the single-layer identity Dv_E = -2 S[nu].
 
     Integrating -Lap v_E = u_E - m by parts against the Green kernel turns the
     bulk gradient into a single layer with the vector density -2 nu, so the
@@ -215,9 +338,52 @@ def potential_normal_derivative(curve, operator=None):
     """
     op = operator if operator is not None else assemble_single_layer(curve)
     nu = curve.normals()
-    gx = op.apply(nu[:, 0])
-    gy = op.apply(nu[:, 1])
-    return -2.0 * (gx * nu[:, 0] + gy * nu[:, 1])
+    return -2.0 * np.column_stack([op.apply(nu[:, 0]), op.apply(nu[:, 1])])
+
+
+def potential_trace(curve, gradient, kappa):
+    """v_E at the markers, with no grid.
+
+    On each loop v_E is the spectral antiderivative of its tangential
+    derivative tau . Dv_E (`gradient` from `potential_gradient`).  The value
+    at the loop's first marker x_i fixes the constant: one row
+    v_E(x_i) = 2 int grad G2(x_i - y) . nu_y ds_y of the biharmonic Green
+    function G2, whose integrand vanishes at y = x_i with the singular part
+    -kappa_i s^2 log|s| / 8pi that the zeta correction at marker i removes.
+    `kappa` is the curvature at the markers.
+    """
+    pts, nu, w = curve.markers(), curve.normals(), curve.arclength_weights()
+    slices = curve.loop_slices()
+    firsts = np.array([sl.start for sl in slices])
+    # row r runs over the markers j other than its own first marker
+    r, j = np.nonzero(np.arange(curve.n_markers)[None, :] != firsts[:, None])
+    dx, dy, _ = _separation(pts[firsts[r]], pts[j])
+    gx, gy = _green2_gradient_raw(dx, dy)
+    rows = 2.0 * (np.bincount(r, weights=w[j] * (gx * nu[j, 0] + gy * nu[j, 1]))
+                  - _ZETA_R2LOG * w[firsts] ** 3 * kappa[firsts])
+    dv_ds = nu[:, 0] * gradient[:, 1] - nu[:, 1] * gradient[:, 0]  # tau = (-nu_y, nu_x)
+    trace = np.empty(curve.n_markers)
+    for lp, sl, value in zip(curve.components, slices, rows):
+        dv_da = dv_ds[sl] * w[sl] * (lp.n / (2.0 * np.pi))
+        shape = np.fft.ifft(_spectral_antiderivative_coeffs(np.fft.fft(dv_da))).real
+        trace[sl] = shape + (value - shape[0])
+    return trace
+
+
+def potential_energy(curve):
+    """int |Dv_E|^2 = 4 int int nu.nu' G2(x - x') ds ds', with no grid.
+
+    The double integral is summed on one triangle; the zeta-corrected
+    trapezoid rule adds 2 zeta'(-2) w_i^3/8pi to each marker's inner integral
+    for the r^2 log r / 8pi singularity of G2.
+    """
+    pts, nu, w = curve.markers(), curve.normals(), curve.arclength_weights()
+    iu, ju = np.triu_indices(curve.n_markers, 1)
+    dx, dy, _ = _separation(pts[iu], pts[ju])
+    pairs = _green2_raw(dx, dy) * (nu[iu, 0] * nu[ju, 0] + nu[iu, 1] * nu[ju, 1])
+    off = float(np.sum(w[iu] * w[ju] * pairs))
+    diag = float(np.sum(w**2 * (biharmonic_green_origin() + _ZETA_R2LOG * w**2)))
+    return 4.0 * (2.0 * off + diag)
 
 
 def adjoint_double_layer(curve):

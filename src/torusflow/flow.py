@@ -25,7 +25,6 @@ import numpy as np
 
 from . import bie
 from .errors import GraphFailure, ResolutionError, TopologyError
-from .fields import dirichlet_energy, potential_of_set
 from .geometry import (
     MarkerLoop,
     PeriodicCurve,
@@ -105,7 +104,7 @@ class EnergyTrace:
 @dataclass
 class FlowParams:
     dt: float | None = None  # step cap; the smallest marker spacing when unset
-    grid_n: int = 256
+    grid_n: int = 256  # accepted for callers; the flow reads no grid
 
 
 @dataclass
@@ -169,10 +168,11 @@ class Evaluation:
 
     MS: V = [d_nu w] for the harmonic w with w = H + 4 gamma v_E on the curve,
     D = int |Dw|^2 and J = perimeter + gamma int |Dv_E|^2.  SD: V = Lap_tau H,
-    D = int |d_s H|^2 and J = perimeter.  The grid potential v_E is computed
-    once, with the datum, and dropped as soon as the nonlocal energy has read
-    it, so the evaluation a state keeps after its record holds no grid.
-    `variation` and `diagnostics` read the criticality residual and d_nu v_E.
+    D = int |d_s H|^2 and J = perimeter.  No grid is involved: the trace of v_E
+    comes from the single layer and one biharmonic-Green row per loop, and the
+    nonlocal energy, read only at records, from the biharmonic Green function
+    (`bie`).  `grid_n` is kept for callers and not read.  `variation` and
+    `diagnostics` read the criticality residual and d_nu v_E.
     """
 
     def __init__(self, curve, flow_kind, gamma=0.0, grid_n=256):
@@ -180,7 +180,6 @@ class Evaluation:
         self.flow_kind = flow_kind
         self.gamma = gamma
         self.grid_n = grid_n
-        self._potential = None
 
     @cached_property
     def kappa(self):
@@ -196,16 +195,22 @@ class Evaluation:
         return bie.assemble_single_layer(self.curve)
 
     @cached_property
+    def potential_gradient(self):
+        """Dv_E at the markers, (n, 2), through the evaluation's single layer."""
+        return bie.potential_gradient(self.curve, self.operator)
+
+    @cached_property
     def potential_derivative(self):
-        """d_nu v_E at the markers, through the evaluation's single layer."""
-        return bie.potential_normal_derivative(self.curve, self.operator)
+        """d_nu v_E at the markers."""
+        g, nu = self.potential_gradient, self.curve.normals()
+        return g[:, 0] * nu[:, 0] + g[:, 1] * nu[:, 1]
 
     @cached_property
     def datum(self):
         """H + 4 gamma v_E at the markers, the Dirichlet datum of the MS flow."""
         if self.gamma == 0.0:
             return self.kappa
-        self._potential, trace = potential_of_set(self.curve, n=self.grid_n)
+        trace = bie.potential_trace(self.curve, self.potential_gradient, self.kappa)
         return self.kappa + 4.0 * self.gamma * trace
 
     @cached_property
@@ -234,12 +239,10 @@ class Evaluation:
 
     @cached_property
     def nonlocal_energy(self):
-        """gamma int |Dv_E|^2, from the potential the datum computed."""
+        """gamma int |Dv_E|^2."""
         if self.flow_kind == "sd" or self.gamma == 0.0:
             return 0.0
-        self.datum  # noqa: B018 - the potential comes with the datum, once
-        v, self._potential = self._potential, None
-        return self.gamma * dirichlet_energy(v)
+        return self.gamma * bie.potential_energy(self.curve)
 
     @cached_property
     def perimeter(self):

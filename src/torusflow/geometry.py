@@ -103,7 +103,11 @@ class MarkerLoop:
 
     @property
     def markers(self):
-        return np.mod(self.lift, 1.0)
+        """The lift reduced to [0, 1); np.mod returns 1.0 for a tiny negative
+        coordinate, which is folded to 0.0."""
+        m = np.mod(self.lift, 1.0)
+        m[m == 1.0] = 0.0
+        return m
 
     # -- spectral machinery -------------------------------------------------
 

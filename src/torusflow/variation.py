@@ -140,8 +140,9 @@ def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256):
 
     All curve data come from one MS `Evaluation`.  The nonlocal block and d_nu
     v_E both go through its single layer, so the two gamma terms cancel on
-    translation traces to quadrature accuracy; grid_n sizes only the
-    criticality residual's v_E.
+    translation traces to quadrature accuracy; the criticality residual's v_E
+    comes from the same single layer and one biharmonic-Green row per loop.
+    `grid_n` is kept for callers and not read.
     """
     ev = Evaluation(curve, "ms", gamma, grid_n)
     B, dB, labels = _mode_basis(curve, n_modes)

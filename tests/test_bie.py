@@ -13,14 +13,20 @@ from torusflow.bie import (
     _separation,
     _series_terms,
     assemble_single_layer,
+    biharmonic_green_gradient,
+    biharmonic_green_kernel,
+    biharmonic_green_origin,
     green_regular_origin,
     periodic_green_gradient,
     periodic_green_kernel,
-    potential_normal_derivative,
+    potential_energy,
+    potential_gradient,
+    potential_trace,
     solve_jump,
     write_jump_csv,
 )
 from torusflow.errors import SingularityError
+from torusflow.flow import Evaluation
 from torusflow.geometry import curvature, integrate_ds
 
 
@@ -110,6 +116,99 @@ def test_green_zero_mean():
 def test_green_singularity_error():
     with pytest.raises(SingularityError):
         periodic_green_kernel(np.array([0.3, 0.7]), np.array([0.3, 0.7]))
+
+
+# -- biharmonic Green function G2 (-Lap G2 = G) --------------------------------
+
+CATALAN = 0.91596559417721901505
+
+
+def _g2_fourier_sum(points, K):
+    """sum over 0 < max(|k1|, |k2|) <= K of e^(2 pi i k.x) / (16 pi^4 |k|^4)."""
+    k = np.arange(-K, K + 1)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    k2 = (kx**2 + ky**2).astype(float)
+    k2[K, K] = np.inf
+    coef = 1.0 / (16.0 * np.pi**4 * k2**2)
+    return np.array([np.sum(coef * np.cos(2 * np.pi * (kx * p[0] + ky * p[1]))) for p in points])
+
+
+def _g2_points(seed, count, min_norm=0.05):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.5, 0.5, (4 * count, 2))
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) > min_norm][:count]
+
+
+def test_biharmonic_green_against_fourier_sum():
+    # the lattice sum converges like K^-3 or faster; G2 must agree with the
+    # K = 400 sum to better than that sum moved from K = 200
+    pts = _g2_points(7, 10)
+    coarse, fine = _g2_fourier_sum(pts, 200), _g2_fourier_sum(pts, 400)
+    err = np.abs(biharmonic_green_kernel(pts) - fine).max()
+    assert err < np.abs(fine - coarse).max() and err < 1e-11, err
+
+
+def test_biharmonic_green_origin_epstein():
+    # G2(0) = sum' 1/(16 pi^4 |k|^4) = 4 zeta(2) beta(2) / (16 pi^4), beta(2) Catalan's constant
+    assert biharmonic_green_origin() == pytest.approx(CATALAN / (24.0 * np.pi**2), rel=1e-14)
+
+
+def test_biharmonic_green_laplacian_is_green():
+    # -Lap G2 = G by fourth-order central differences
+    pts, h = _g2_points(8, 30, min_norm=0.1), 1e-3
+    lap = 0.0
+    for e in (np.array([h, 0.0]), np.array([0.0, h])):
+        f = [biharmonic_green_kernel(pts + j * e) for j in (-2, -1, 0, 1, 2)]
+        lap += (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+    assert np.abs(-lap - periodic_green_kernel(pts)).max() < 1e-9
+
+
+def test_biharmonic_green_gradient_finite_differences():
+    pts, h = _g2_points(9, 30), 1e-5
+    fd = np.stack(
+        [(biharmonic_green_kernel(pts + e) - biharmonic_green_kernel(pts - e)) / (2 * h)
+         for e in (np.array([h, 0.0]), np.array([0.0, h]))],
+        axis=-1,
+    )
+    assert np.abs(biharmonic_green_gradient(pts) - fd).max() < 1e-10
+
+
+def test_biharmonic_green_zero_mean_and_periodic():
+    n = 256
+    xs = (np.arange(n) + 0.5) / n
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    assert abs(biharmonic_green_kernel(np.stack([gx, gy], axis=-1)).mean()) < 1e-12
+    pts = _g2_points(10, 6)
+    g0 = biharmonic_green_kernel(pts)
+    for shift in ([1.0, 0.0], [0.0, 1.0], [-1.0, 2.0]):
+        assert np.abs(biharmonic_green_kernel(pts + shift) - g0).max() < 1e-15
+
+
+# -- the grid-free v_E trace and energy ------------------------------------------
+
+
+@pytest.mark.parametrize("h", [0.3, 0.4])
+def test_potential_trace_and_energy_strip_oracles(h):
+    st = shapes.strip(h, n=96)
+    trace = potential_trace(st, potential_gradient(st), curvature(st))
+    assert np.abs(trace - oracles.strip_boundary_potential(h)).max() <= 1e-12
+    assert abs(potential_energy(st) - oracles.strip_dirichlet_energy(h)) <= 1e-12
+
+
+def test_potential_energy_converges_fourth_order():
+    # zeta-corrected trapezoid rule on the r^2 log r singularity of G2
+    energy = [potential_energy(shapes.perturbed_circle(0.2, 1e-2, 3, n=n)) for n in (64, 256, 512)]
+    err64, err256 = abs(energy[0] - energy[2]), abs(energy[1] - energy[2])
+    assert np.log(err64 / err256) / np.log(4.0) >= 4.0, (err64, err256)
+
+
+def test_potential_trace_refines_on_a_circle():
+    # the one G2 row fixes the loop's constant: refinement moves the trace only
+    # at the rule's order, so 128 and 256 markers agree closely on the shared markers
+    coarse, fine = (shapes.perturbed_circle(0.2, 1e-2, 3, n=n) for n in (128, 256))
+    tc = potential_trace(coarse, potential_gradient(coarse), curvature(coarse))
+    tf = potential_trace(fine, potential_gradient(fine), curvature(fine))
+    assert np.abs(tc - tf[::2]).max() < 1e-10
 
 
 # -- single layer ----------------------------------------------------------------
@@ -335,7 +434,7 @@ def test_dissipation_cross_check_with_grid():
 
 def test_potential_normal_derivative_identity():
     st = shapes.strip(0.3, n=128)
-    dnv = potential_normal_derivative(st)
+    dnv = Evaluation(st, "ms").potential_derivative
     np.testing.assert_allclose(dnv, oracles.strip_normal_derivative(0.3), atol=1e-12)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from torusflow import flow, shapes
+from torusflow import bie, flow, shapes
 from torusflow.diagnostics import (
     asymmetry_distance,
     discrete_sobolev_norm,
@@ -43,8 +43,8 @@ def _fresh_interpreter(code):
 def test_layering_flow_below_diagnostics():
     # geometry <- fields, bie <- flow <- variation <- diagnostics: the
     # diagnostics import on their own, the flow pulls in neither variation nor
-    # diagnostics, and neither the single layer nor the signed distance grid
-    # needs fields
+    # diagnostics, and neither the flow, the variation code, the single layer
+    # nor the signed distance grid needs fields
     assert _fresh_interpreter("import torusflow.diagnostics; print('ok')") == "ok"
     code = (
         "import sys, torusflow.flow; "
@@ -57,8 +57,9 @@ def test_layering_flow_below_diagnostics():
         "print('torusflow.fields' in sys.modules)"
     )
     assert _fresh_interpreter(code) == "False"
-    code = "import sys, torusflow.bie; print('torusflow.fields' in sys.modules)"
-    assert _fresh_interpreter(code) == "False"
+    for module in ("bie", "flow", "variation"):
+        code = f"import sys, torusflow.{module}; print('torusflow.fields' in sys.modules)"
+        assert _fresh_interpreter(code) == "False", module
 
 
 def test_energy_values():
@@ -108,17 +109,30 @@ def test_second_identity_ms_perturbed():
 
 
 def test_ms_identity_check_computes_three_potentials(monkeypatch):
-    # the base curve's grid potential serves its datum and its criticality
+    # the base curve's v_E trace serves its datum and its criticality
     # residual; each of the two advanced curves needs one more
-    original, calls = flow.potential_of_set, []
+    original, calls = bie.potential_trace, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "potential_of_set", counted)
+    monkeypatch.setattr(bie, "potential_trace", counted)
     verify_second_identity_ms(shapes.perturbed_strip(0.4, 1e-2, 1, n=96), gamma=5.0)
     assert len(calls) == 3
+
+
+def test_first_identity_converges_at_positive_gamma():
+    # the grid-free J and D carry no grid floor, so the centered -dJ/dt meets
+    # D at the second-order rate of the difference, as at gamma = 0
+    medians = []
+    for dt in (2.2e-4, 1.1e-4):
+        st = flow.make_state(shapes.perturbed_strip(0.4, 1e-3, 1, n=96), "ms", gamma=10.0,
+                             params=flow.FlowParams(dt=dt))
+        res = flow.run(st, t_end=10 * 2.2e-4)
+        assert res.event == "completed"
+        medians.append(verify_first_identity(res.trace)["median"])
+    assert 3.5 <= medians[0] / medians[1] <= 4.5, medians
 
 
 def test_second_identity_sd_perturbed():

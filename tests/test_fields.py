@@ -17,7 +17,7 @@ from grid_reference import (
     pair_energy,
 )
 from torusflow import shapes
-from torusflow.bie import potential_normal_derivative
+from torusflow.bie import potential_trace
 from torusflow.errors import ResolutionError
 from torusflow.fields import (
     _band_distances,
@@ -27,6 +27,7 @@ from torusflow.fields import (
     rasterize_indicator,
     solve_poisson_zero_mean,
 )
+from torusflow.flow import Evaluation
 from torusflow.geometry import (
     _all_segments,
     integrate_ds,
@@ -202,13 +203,32 @@ def test_strip_trace_grid_convergence():
 def test_grid_normal_derivative_converges_to_kress(curve):
     # the grid's spectral gradient and the single-layer identity Dv_E = -2 S[nu]
     # are independent discretisations of d_nu v_E; the grid one is first order
-    kress = potential_normal_derivative(curve)
+    kress = Evaluation(curve, "ms").potential_derivative
     errs = []
     for n in (128, 256, 512):
         v, _ = potential_of_set(curve, n)
         errs.append(np.abs(normal_derivative(v, curve) - kress).max())
     assert errs[1] <= 0.6 * errs[0] and errs[2] <= 0.6 * errs[1], errs
     assert errs[2] < 2e-3, errs
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        shapes.perturbed_circle(0.2, 0.01, 3, n=128),
+        shapes.perturbed_strip(0.4, 1e-2, 1, n=96),
+    ],
+    ids=["perturbed_circle", "perturbed_strip"],
+)
+def test_grid_trace_agrees_with_g2_trace(curve):
+    # the rasterized potential and the grid-free trace (single layer plus one
+    # biharmonic-Green row per loop) are independent routes to v_E; they agree
+    # to the grid's floor once the global mean is removed
+    ev = Evaluation(curve, "ms")
+    trace = potential_trace(curve, ev.potential_gradient, ev.kappa)
+    for n in (256, 512):
+        _, grid = potential_of_set(curve, n)
+        assert np.abs((grid - grid.mean()) - (trace - trace.mean())).max() <= 3e-6
 
 
 def test_circle_trace_square_symmetry():

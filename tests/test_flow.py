@@ -177,11 +177,11 @@ def test_run_ms_gamma_positive_monotone():
 
 def test_nonlocal_energy_only_at_records(monkeypatch):
     # the SSD stages need only V; the Dirichlet energy is computed once per record
-    import torusflow.flow as flow_mod
+    import torusflow.bie as bie_mod
 
     calls = []
-    energy = flow_mod.dirichlet_energy
-    monkeypatch.setattr(flow_mod, "dirichlet_energy", lambda v: calls.append(1) or energy(v))
+    energy = bie_mod.potential_energy
+    monkeypatch.setattr(bie_mod, "potential_energy", lambda c: calls.append(1) or energy(c))
     p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
     params = FlowParams(dt=2e-5, grid_n=128)
     res = run(make_state(p, "ms", gamma=1.0, params=params), t_end=2 * 2e-5)
@@ -191,15 +191,14 @@ def test_nonlocal_energy_only_at_records(monkeypatch):
 
 
 def test_evaluation_computes_each_quantity_once(monkeypatch):
-    # one grid potential per evaluation whichever of D and the nonlocal energy
-    # is read first; a gamma=0 MS SSD run solves one jump system per record
-    # and one per stage (two per step)
+    # one v_E trace per evaluation whichever of D and the nonlocal energy is
+    # read first; a gamma=0 MS SSD run solves one jump system per record and
+    # one per stage (two per step)
     import torusflow.bie as bie_mod
-    import torusflow.flow as flow_mod
 
     potentials, jumps = [], []
-    potential, solve = flow_mod.potential_of_set, bie_mod.solve_jump
-    monkeypatch.setattr(flow_mod, "potential_of_set",
+    potential, solve = bie_mod.potential_trace, bie_mod.solve_jump
+    monkeypatch.setattr(bie_mod, "potential_trace",
                         lambda *a, **k: potentials.append(1) or potential(*a, **k))
     monkeypatch.setattr(bie_mod, "solve_jump", lambda *a, **k: jumps.append(1) or solve(*a, **k))
     strip = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)

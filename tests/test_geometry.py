@@ -391,3 +391,22 @@ def test_snapshot_roundtrip_bit_exact(spec):
         np.array_equal(a.winding, b.winding)
         for a, b in zip(c.components, c2.components)
     )
+
+
+def test_markers_fold_into_unit_cell():
+    # marker 48 of this circle has the lift -4.6e-17, which np.mod sends to 1.0
+    c = shapes.circle(0.25, center=(0, 0), n=64)
+    assert c.components[0].lift[48, 0] < 0.0
+    m = c.markers()
+    assert np.all((m >= 0.0) & (m < 1.0))
+    assert m[48, 0] == 0.0
+
+
+@FEW
+@given(SHAPES, st.integers(-3, 3), st.integers(-3, 3))
+def test_markers_in_unit_cell_property(spec, i, j):
+    c = build(spec)
+    moved = PeriodicCurve([MarkerLoop(lp.lift + (i, j), lp.winding) for lp in c.components])
+    for curve in (c, moved):
+        m = curve.markers()
+        assert np.all((m >= 0.0) & (m < 1.0))

@@ -48,6 +48,18 @@ def test_strip_critical_any_gamma():
     assert lam == pytest.approx(4.0 * oracles.strip_boundary_potential(0.3), rel=1e-2)
 
 
+@pytest.mark.parametrize("gamma", [10.0, 150.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lamellae_critical_at_positive_gamma(k, gamma):
+    # the grid-free v_E has no grid floor: every lamella is critical to
+    # round-off, so its assembly raises no "not critical" warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat = assemble_second_variation(shapes.lamella(k, h=0.5, n_per_loop=64), gamma, n_modes=6)
+    assert mat.warning == ""
+    assert mat.criticality_sup <= 1e-10
+
+
 def test_ellipse_not_critical():
     e = shapes.ellipse(0.2, 0.1, n=128)
     res, _ = criticality_residual(e, 0.0)
