@@ -33,6 +33,7 @@ from .geometry import _spectral_antiderivative_coeffs, curvature, integrate_ds
 # solve_jump refuses a system whose estimated 1-norm condition number exceeds this.
 COND_LIMIT = 1e12
 _GREEN_SERIES_TERMS = 12
+ENERGY_BLOCK_PAIRS = 1 << 16  # at most this many pairs per row block of potential_energy
 # C_m = 1 / ((1 - e^(-2 pi m)) 2 pi m), m = 1.._GREEN_SERIES_TERMS: the Fourier
 # coefficients of the periodic correction to the cylinder kernel.
 _SERIES_M = np.arange(1, _GREEN_SERIES_TERMS + 1)
@@ -373,15 +374,22 @@ def potential_trace(curve, gradient, kappa):
 def potential_energy(curve):
     """int |Dv_E|^2 = 4 int int nu.nu' G2(x - x') ds ds', with no grid.
 
-    The double integral is summed on one triangle; the zeta-corrected
+    The double integral is summed on one triangle, in row blocks of at most
+    ENERGY_BLOCK_PAIRS pairs (one block up to 256 markers); the zeta-corrected
     trapezoid rule adds 2 zeta'(-2) w_i^3/8pi to each marker's inner integral
     for the r^2 log r / 8pi singularity of G2.
     """
     pts, nu, w = curve.markers(), curve.normals(), curve.arclength_weights()
-    iu, ju = np.triu_indices(curve.n_markers, 1)
-    dx, dy, _ = _separation(pts[iu], pts[ju])
-    pairs = _green2_raw(dx, dy) * (nu[iu, 0] * nu[ju, 0] + nu[iu, 1] * nu[ju, 1])
-    off = float(np.sum(w[iu] * w[ju] * pairs))
+    n = curve.n_markers
+    rows = max(1, ENERGY_BLOCK_PAIRS // n)
+    off = 0.0
+    for r0 in range(0, n, rows):
+        # rows r0..r0+rows of the upper triangle, in np.triu_indices order
+        iu, ju = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
+        iu += r0
+        dx, dy, _ = _separation(pts[iu], pts[ju])
+        pairs = _green2_raw(dx, dy) * (nu[iu, 0] * nu[ju, 0] + nu[iu, 1] * nu[ju, 1])
+        off += float(np.sum(w[iu] * w[ju] * pairs))
     diag = float(np.sum(w**2 * (biharmonic_green_origin() + _ZETA_R2LOG * w**2)))
     return 4.0 * (2.0 * off + diag)
 

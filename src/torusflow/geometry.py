@@ -270,6 +270,19 @@ class PeriodicCurve:
         lens = sum(lp._area_raw() for lp in self.components) - _polygon_shoelace_lift(self)
         return poly + lens
 
+    @cached_property
+    def _tubular_radius(self):
+        """See tubular_radius."""
+        kap = np.abs(curvature(self))
+        cap = min(0.45 / max(float(kap.max()), 1e-12), 0.25)
+        if len(self.components) < 2:
+            return cap
+        best = np.inf
+        for i, li in enumerate(self.components):
+            other = PeriodicCurve([l for j, l in enumerate(self.components) if j != i], check=False)
+            best = min(best, float(np.abs(signed_distance_points(other, li.markers)).min()))
+        return min(0.5 * best, cap)
+
     # -- validation ----------------------------------------------------------
 
     def validate(self, probe_area=True):
@@ -294,11 +307,22 @@ class PeriodicCurve:
         loop_id = np.repeat(np.arange(len(sizes)), sizes)
         idx = np.concatenate([np.arange(n) for n in sizes])
         nseg = a0.shape[0]
-        if nseg > 4096:
-            raise ResolutionError("intersection test beyond desk scale")
         mids = 0.5 * (a0 + a1)
         radii = 0.5 * np.linalg.norm(a1 - a0, axis=1)
-        ii, jj = np.triu_indices(nseg, k=1)
+        # periodic cell list: a cell side of at least 2 max radius + 1e-12 puts
+        # every pair that can meet the criterion below in neighbouring cells
+        m = max(1, int(1.0 / (2.0 * radii.max() + 1e-9)))
+        cx, cy = (np.floor(np.mod(mids, 1.0) * m).astype(np.int64) % m).T
+        order = np.argsort(cx * m + cy)
+        cells = (cx * m + cy)[order]
+        steps = np.unique(np.array([-1, 0, 1]) % m)  # deduplicated when m < 3
+        ox, oy = np.meshgrid(steps, steps, indexing="ij")
+        nb = ((cx[:, None] + ox.ravel()) % m) * m + (cy[:, None] + oy.ravel()) % m
+        lo = np.searchsorted(cells, nb.ravel(), "left")
+        cnt = np.searchsorted(cells, nb.ravel(), "right") - lo
+        ii = np.repeat(np.repeat(np.arange(nseg), ox.size), cnt)
+        jj = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+        ii, jj = ii[ii < jj], jj[ii < jj]
         # candidate pairs: minimal-image midpoint distance below the sum of
         # segment radii (short segments have a unique relevant lattice image)
         delta = mids[jj] - mids[ii]
@@ -594,21 +618,9 @@ def signed_distance_grid(curve, grid_n):
 
 
 def tubular_radius(reference):
-    """Half the minimum cross-component distance, capped at 0.45/max|kappa|."""
-    kap = np.abs(curvature(reference))
-    cap = 0.45 / max(float(kap.max()), 1e-12)
-    cap = min(cap, 0.25)
-    if len(reference.components) < 2:
-        return cap
-    best = np.inf
-    loops = reference.components
-    for i, li in enumerate(loops):
-        other = PeriodicCurve(
-            [l for j, l in enumerate(loops) if j != i], check=False
-        )
-        d = np.abs(signed_distance_points(other, li.markers))
-        best = min(best, float(d.min()))
-    return min(0.5 * best, cap)
+    """Half the minimum cross-component distance, capped at 0.45/max|kappa|;
+    computed once per (immutable) reference curve."""
+    return reference._tubular_radius
 
 
 def height_function(curve, reference):
@@ -628,16 +640,24 @@ def height_function(curve, reference):
         # local lattice alignment: bring the curve lift near the reference lift
         off = np.round(np.mean(lp_c.lift, axis=0) - np.mean(base, axis=0))
         clift = lp_c.lift - off
-        d2 = np.sum((base[:, None, :] - clift[None, :, :]) ** 2, axis=2)
-        jstar = np.argmin(d2, axis=1)
+        # nearest curve marker: |c|^2 - 2 b.c differs from |b - c|^2 by |b|^2
+        jstar = np.argmin(np.sum(clift**2, axis=1) - 2.0 * base @ clift.T, axis=1)
         alpha = 2.0 * np.pi * jstar / lp_c.n
         t = np.einsum("id,id->i", clift[jstar] - base, nu)
-        k = _modes(lp_c.n)
-        coeffs = np.fft.fft(clift - np.outer(np.arange(lp_c.n) / lp_c.n, lp_c.winding), axis=0) / lp_c.n
-        dcoeffs = _spectral_derivative_coeffs(coeffs, 1)
+        # half spectrum: interior modes doubled stand in for their conjugates;
+        # the Nyquist mode counts once in the value and not in the derivative
+        n = lp_c.n
+        coeffs = np.fft.rfft(clift - np.outer(np.arange(n) / n, lp_c.winding), axis=0) / n
+        coeffs[1 : (n + 1) // 2] *= 2.0
+        dcoeffs = coeffs * 1j * np.arange(coeffs.shape[0])[:, None]
+        if n % 2 == 0:
+            dcoeffs[n // 2] = 0.0
         converged = np.zeros(base.shape[0], dtype=bool)
         for _ in range(60):
-            ek = np.exp(1j * np.outer(alpha, k))
+            # e^{ik alpha}, k = 0..n/2, by a running product (error ~ k eps)
+            ek = np.full((base.shape[0], coeffs.shape[0]), np.exp(1j * alpha)[:, None])
+            ek[:, 0] = 1.0
+            ek = np.cumprod(ek, axis=1)
             x = (ek @ coeffs).real + np.outer(alpha / (2 * np.pi), lp_c.winding)
             dx = (ek @ dcoeffs).real + lp_c.winding / (2 * np.pi)
             F = x - base - t[:, None] * nu

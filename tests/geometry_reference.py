@@ -1,0 +1,124 @@
+"""Dense geometry kernels: test-side references for the height solve and the
+intersection test.
+
+The package solves for the height function on a half-spectrum table built by
+a running product, and draws the candidate pairs of its intersection test from
+a periodic cell list.  This module keeps the earlier dense versions for the
+tests to compare against: the height Newton loop evaluates the full N x N
+table exp(i alpha k) at every iteration, and the intersection test forms every
+one of the N(N-1)/2 segment pairs.  Both are O(N^2) in time and memory.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from torusflow.errors import GraphFailure, ResolutionError, TopologyError
+from torusflow.geometry import (
+    HEIGHT_TOL,
+    _all_segments,
+    _modes,
+    _spectral_derivative_coeffs,
+    tubular_radius,
+)
+
+
+def check_intersections_all_pairs(curve):
+    """TopologyError when two segments of `curve` cross; every pair is tested."""
+    a0, a1 = _all_segments(curve)
+    sizes = [lp.n for lp in curve.components]
+    loop_id = np.repeat(np.arange(len(sizes)), sizes)
+    idx = np.concatenate([np.arange(n) for n in sizes])
+    nseg = a0.shape[0]
+    if nseg > 4096:
+        raise ResolutionError("intersection test beyond desk scale")
+    mids = 0.5 * (a0 + a1)
+    radii = 0.5 * np.linalg.norm(a1 - a0, axis=1)
+    ii, jj = np.triu_indices(nseg, k=1)
+    # candidate pairs: minimal-image midpoint distance below the sum of
+    # segment radii (short segments have a unique relevant lattice image)
+    delta = mids[jj] - mids[ii]
+    shift = np.round(delta)
+    close = np.linalg.norm(delta - shift, axis=1) <= radii[ii] + radii[jj] + 1e-12
+    ii, jj, shift = ii[close], jj[close], shift[close]
+    same = loop_id[ii] == loop_id[jj]
+    nloc = np.asarray(sizes)[loop_id]
+    adjacent = (
+        same
+        & (np.all(shift == 0.0, axis=1))
+        & (
+            (np.abs(idx[ii] - idx[jj]) == 1)
+            | (np.abs(idx[ii] - idx[jj]) == nloc[ii] - 1)
+        )
+    )
+    p, q = a0[ii], a1[ii]
+    r = a0[jj] - shift
+    s = a1[jj] - shift
+
+    def ccw(u, v, w):
+        return (v[:, 0] - u[:, 0]) * (w[:, 1] - u[:, 1]) - (v[:, 1] - u[:, 1]) * (
+            w[:, 0] - u[:, 0]
+        )
+
+    hit = (
+        (np.sign(ccw(p, q, r)) * np.sign(ccw(p, q, s)) < 0)
+        & (np.sign(ccw(r, s, p)) * np.sign(ccw(r, s, q)) < 0)
+        & ~adjacent
+    )
+    if np.any(hit):
+        raise TopologyError("curve self-intersects or loops collide")
+
+
+def height_function_dense(curve, reference):
+    """Height psi of `curve` over `reference`, sampled at the reference markers.
+
+    Solves x_curve(alpha) = x_ref + t * nu_ref per reference marker by a
+    vectorized Newton iteration on (t, alpha); raises GraphFailure when a ray
+    misses the curve inside the tubular radius or the graph map folds.
+    """
+    if len(curve.components) != len(reference.components):
+        raise GraphFailure("component count differs from reference")
+    tub = tubular_radius(reference)
+    out = []
+    for lp_c, lp_r in zip(curve.components, reference.components):
+        base = lp_r.lift
+        nu = lp_r.normal()
+        # local lattice alignment: bring the curve lift near the reference lift
+        off = np.round(np.mean(lp_c.lift, axis=0) - np.mean(base, axis=0))
+        clift = lp_c.lift - off
+        d2 = np.sum((base[:, None, :] - clift[None, :, :]) ** 2, axis=2)
+        jstar = np.argmin(d2, axis=1)
+        alpha = 2.0 * np.pi * jstar / lp_c.n
+        t = np.einsum("id,id->i", clift[jstar] - base, nu)
+        k = _modes(lp_c.n)
+        coeffs = np.fft.fft(clift - np.outer(np.arange(lp_c.n) / lp_c.n, lp_c.winding), axis=0) / lp_c.n
+        dcoeffs = _spectral_derivative_coeffs(coeffs, 1)
+        converged = np.zeros(base.shape[0], dtype=bool)
+        for _ in range(60):
+            ek = np.exp(1j * np.outer(alpha, k))
+            x = (ek @ coeffs).real + np.outer(alpha / (2 * np.pi), lp_c.winding)
+            dx = (ek @ dcoeffs).real + lp_c.winding / (2 * np.pi)
+            F = x - base - t[:, None] * nu
+            converged = np.linalg.norm(F, axis=1) < HEIGHT_TOL
+            if np.all(converged):
+                break
+            # solve [ -nu, dx ] [dt, dalpha]^T = -F  (2x2 per marker)
+            det = -nu[:, 0] * dx[:, 1] + nu[:, 1] * dx[:, 0]
+            if np.any(np.abs(det) < 1e-14):
+                raise GraphFailure("tangential ray: curve not a graph over reference")
+            dt = (-F[:, 0] * dx[:, 1] + F[:, 1] * dx[:, 0]) / det
+            da = (nu[:, 0] * F[:, 1] - nu[:, 1] * F[:, 0]) / det
+            t = t + dt
+            alpha = alpha + da
+            if np.any(np.abs(t) > 2.0 * tub):
+                raise GraphFailure("normal ray leaves the tubular neighborhood")
+        if not np.all(converged):
+            raise GraphFailure("height solve did not converge")
+        if np.any(np.abs(t) > tub):
+            raise GraphFailure("height exceeds tubular radius")
+        # single-cover check: the preimage parameter must advance monotonically
+        dal = np.diff(np.unwrap(np.mod(alpha, 2.0 * np.pi)))
+        if base.shape[0] > 2 and not (np.all(dal > 0) or np.all(dal < 0)):
+            raise GraphFailure("normal rays hit the curve more than once")
+        out.append(t)
+    return np.concatenate(out)

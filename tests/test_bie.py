@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from torusflow import shapes
+from torusflow import bie, shapes
 from torusflow.bie import (
     _diagonal_block_tables,
     _green_raw,
@@ -200,6 +200,17 @@ def test_potential_energy_converges_fourth_order():
     energy = [potential_energy(shapes.perturbed_circle(0.2, 1e-2, 3, n=n)) for n in (64, 256, 512)]
     err64, err256 = abs(energy[0] - energy[2]), abs(energy[1] - energy[2])
     assert np.log(err64 / err256) / np.log(4.0) >= 4.0, (err64, err256)
+
+
+def test_potential_energy_row_blocks(monkeypatch):
+    # 192 markers (the bench strips) stay one block, so the sum is unchanged
+    # bit for bit; 1024 markers take 16 blocks and agree with one block to round-off
+    small = shapes.perturbed_strip(0.4, 1e-3, 1, n=96)
+    big = shapes.perturbed_strip(0.4, 1e-3, 1, n=512)
+    blocked = potential_energy(small), potential_energy(big)
+    monkeypatch.setattr(bie, "ENERGY_BLOCK_PAIRS", big.n_markers**2)
+    assert potential_energy(small) == blocked[0]
+    assert potential_energy(big) == pytest.approx(blocked[1], rel=1e-14, abs=0.0)
 
 
 def test_potential_trace_refines_on_a_circle():

@@ -10,9 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# relax_perturbed_circle.py (about 30 s) is left to manual runs
 @pytest.mark.parametrize(
-    "demo", ["dispersion_relations.py", "energy_identities.py", "lamella_stability_sweep.py"]
+    "demo",
+    [
+        "dispersion_relations.py",
+        "energy_identities.py",
+        "lamella_stability_sweep.py",
+        "relax_perturbed_circle.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from torusflow import shapes
+from geometry_reference import check_intersections_all_pairs, height_function_dense
+from torusflow import geometry, shapes
 from torusflow.errors import GraphFailure, OrientationError, ResolutionError, TopologyError
+from torusflow.flow import FlowParams, StoppingMonitor, make_state, run
 from torusflow.geometry import (
     RESAMPLE_TAIL_MAX,
     MarkerLoop,
@@ -310,6 +312,71 @@ def test_height_graph_failure():
         height_function(shapes.circle(0.2, center=(0.5, 0.85), n=128), ref)
 
 
+def _two_loop_graph():
+    base = shapes.strip(0.3, n=128)
+    x = base.markers()[:, 0]
+    p = 0.01 * np.sin(2 * np.pi * x) + 0.004 * np.cos(6 * np.pi * x)
+    return shapes.graph_over(base, p), base
+
+
+HEIGHT_CASES = {
+    "circle": lambda: (shapes.circle(0.21, center=(0.48, 0.53), n=256), shapes.circle(0.2, n=256)),
+    "ellipse": lambda: (shapes.ellipse(0.2, 0.125, n=256), shapes.ellipse(0.2, 0.12, n=256)),
+    "perturbed_strip": lambda: (
+        shapes.perturbed_strip(0.4, 1e-2, 2, n=96),
+        shapes.strip(0.4, n=96),
+    ),
+    "lamella_k4": lambda: (
+        shapes.perturbed_lamella(4, 3e-3, 2, n_per_loop=64),
+        shapes.lamella(4, n_per_loop=64),
+    ),
+    "graph_over_two_loops": _two_loop_graph,
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEIGHT_CASES))
+def test_height_matches_dense_reference(case):
+    curve, ref = HEIGHT_CASES[case]()
+    psi = height_function(curve, ref)
+    assert np.abs(psi - height_function_dense(curve, ref)).max() <= 1e-14
+    assert np.abs(psi).max() > 1e-3  # a genuine height, not the trivial zero
+
+
+@pytest.mark.parametrize(
+    "curve,ref,message",
+    [
+        (shapes.circle(0.2, center=(0.5, 0.85), n=128), shapes.circle(0.2, n=128), "tangential ray"),
+        (shapes.circle(0.3, n=128), shapes.circle(0.2, n=128), "height exceeds tubular radius"),
+        (shapes.perturbed_circle(0.4, 0.01, 3, n=128), shapes.circle(0.2, n=128), "leaves the tubular"),
+        (shapes.circle(0.2, n=128), shapes.strip(0.3, n=64), "component count differs"),
+    ],
+    ids=["shifted_circle", "beyond_tube", "beyond_twice_the_tube", "component_count"],
+)
+def test_height_graph_failure_branches(curve, ref, message):
+    for solve in (height_function, height_function_dense):
+        with pytest.raises(GraphFailure, match=message):
+            solve(curve, ref)
+
+
+def test_tubular_radius_once_per_reference(monkeypatch):
+    # the reference never changes: its two per-loop distance queries run at
+    # the first record only, not at every record of the monitored run
+    calls = []
+    inner = geometry.signed_distance_points
+
+    def counting(curve, points):
+        calls.append(len(curve.components))
+        return inner(curve, points)
+
+    monkeypatch.setattr(geometry, "signed_distance_points", counting)
+    ref = shapes.strip(0.4, n=64)
+    st = make_state(shapes.perturbed_strip(0.4, 2e-3, 1, n=64), "sd", params=FlowParams(dt=1e-6))
+    res = run(st, monitor=StoppingMonitor(reference=ref), t_end=5e-6)
+    assert res.event == "completed"
+    assert len(res.trace.rows) == 6
+    assert calls.count(1) == 2  # one-loop curves are the radius queries
+
+
 # -- invariants (property tests) -------------------------------------------------
 
 SHAPES = st.one_of(
@@ -410,3 +477,106 @@ def test_markers_in_unit_cell_property(spec, i, j):
     for curve in (c, moved):
         m = curve.markers()
         assert np.all((m >= 0.0) & (m < 1.0))
+
+
+# -- intersection test against the all-pairs reference ---------------------------
+
+
+def verdict(check, curve):
+    try:
+        check(curve)
+    except TopologyError:
+        return "crossing"
+    return "clear"
+
+
+def both_verdicts(curve):
+    """The cell-list verdict, checked equal to the all-pairs verdict."""
+    fast = verdict(lambda c: c._check_intersections(), curve)
+    assert fast == verdict(check_intersections_all_pairs, curve)
+    return fast
+
+
+def disk_loop(r, center, n, phase):
+    th = phase + 2 * np.pi * np.arange(n) / n
+    pts = np.column_stack([center[0] + r * np.cos(th), center[1] + r * np.sin(th)])
+    return MarkerLoop(pts, (0, 0))
+
+
+@FEW
+@given(SHAPES, st.integers(16, 128))
+def test_intersections_match_all_pairs_on_shapes(spec, n):
+    assert both_verdicts(build(spec, n=n)) == "clear"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.05, 0.2),
+    st.floats(0.05, 0.2),
+    st.floats(-4e-4, 4e-4),
+    st.floats(0.0, 2 * np.pi),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.integers(16, 96),
+    st.floats(0.0, 1.0),
+)
+def test_intersections_match_all_pairs_near_touching_disks(r1, r2, gap, angle, c1, n, phase):
+    # gaps straddle the contact of the two inscribed polygons; the pair sits
+    # anywhere on the torus, so it often straddles the cell's edge
+    d = r1 + r2 + gap
+    c2 = (c1[0] + d * np.cos(angle), c1[1] + d * np.sin(angle))
+    curve = PeriodicCurve(
+        [disk_loop(r1, c1, n, phase), disk_loop(r2, c2, n + 3, 2 * phase)], check=False
+    )
+    both_verdicts(curve)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.02, 0.3),
+    st.floats(-2e-3, 2e-3),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2 * np.pi),
+    st.integers(16, 96),
+)
+def test_intersections_match_all_pairs_near_touching_strips(h, gap, y0, phase, n):
+    # a straight interface at y0 and a wavy one whose trough reaches y0 + gap
+    t = np.arange(n) / n
+    x = 1.0 - t
+    lower = MarkerLoop(np.column_stack([t, np.full(n, y0)]), (1, 0))
+    wavy = y0 + h + (h - gap) * np.sin(2 * np.pi * x + phase)
+    upper = MarkerLoop(np.column_stack([x, wavy]), (-1, 0))
+    both_verdicts(PeriodicCurve([lower, upper], check=False))
+
+
+@pytest.mark.parametrize("gap,expect", [(-1e-3, "crossing"), (1e-3, "clear")])
+def test_intersections_near_contact_both_ways(gap, expect):
+    # the near-contact properties above see both verdicts
+    r = 0.1
+    curve = PeriodicCurve(
+        [disk_loop(r, (0.9, 0.5), 64, 0.0), disk_loop(r, (0.9 + 2 * r + gap, 0.5), 64, 0.0)],
+        check=False,
+    )
+    assert both_verdicts(curve) == expect
+
+
+@FEW
+@given(st.floats(0.05, 0.3), st.floats(0.03, 0.2), st.floats(0.01, 0.5), st.integers(32, 128))
+def test_self_crossing_loop_raises_in_both(a, b, phase, n):
+    # a figure eight crosses itself at its centre
+    t = 2 * np.pi * (np.arange(n) + phase) / n
+    loop = MarkerLoop(np.column_stack([0.5 + a * np.sin(t), 0.5 + b * np.sin(2 * t)]), (0, 0))
+    curve = PeriodicCurve([loop], check=False)
+    assert both_verdicts(curve) == "crossing"
+    with pytest.raises(TopologyError):
+        curve.validate()
+
+
+def test_validate_beyond_4096_segments():
+    # 2 x 2100 markers: the all-pairs test refused this as beyond desk scale
+    t = np.arange(2100) / 2100
+    lower = MarkerLoop(np.column_stack([t, np.full(2100, 0.2)]), (1, 0))
+    upper = MarkerLoop(np.column_stack([1.0 - t, np.full(2100, 0.6)]), (-1, 0))
+    curve = PeriodicCurve([lower, upper], check=False)
+    curve.validate(probe_area=False)
+    with pytest.raises(ResolutionError):
+        check_intersections_all_pairs(curve)
