@@ -384,8 +384,8 @@ def potential_energy(curve):
     rows = max(1, ENERGY_BLOCK_PAIRS // n)
     off = 0.0
     for r0 in range(0, n, rows):
-        # rows r0..r0+rows of the upper triangle, in np.triu_indices order
-        iu, ju = np.nonzero(np.arange(n) > np.arange(r0, min(r0 + rows, n))[:, None])
+        # rows r0..r0+rows of the upper triangle np.triu_indices(n, 1)
+        iu, ju = np.triu_indices(min(rows, n - r0), r0 + 1, n)
         iu += r0
         dx, dy, _ = _separation(pts[iu], pts[ju])
         pairs = _green2_raw(dx, dy) * (nu[iu, 0] * nu[ju, 0] + nu[iu, 1] * nu[ju, 1])

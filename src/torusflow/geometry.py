@@ -311,6 +311,7 @@ class PeriodicCurve:
         radii = 0.5 * np.linalg.norm(a1 - a0, axis=1)
         # periodic cell list: a cell side of at least 2 max radius + 1e-12 puts
         # every pair that can meet the criterion below in neighbouring cells
+        # (1e-9 leaves room for the rounding of the cell indices)
         m = max(1, int(1.0 / (2.0 * radii.max() + 1e-9)))
         cx, cy = (np.floor(np.mod(mids, 1.0) * m).astype(np.int64) % m).T
         order = np.argsort(cx * m + cy)
@@ -320,6 +321,7 @@ class PeriodicCurve:
         nb = ((cx[:, None] + ox.ravel()) % m) * m + (cy[:, None] + oy.ravel()) % m
         lo = np.searchsorted(cells, nb.ravel(), "left")
         cnt = np.searchsorted(cells, nb.ravel(), "right") - lo
+        # segment i meets the sorted run order[lo:lo + cnt] of each neighbour cell
         ii = np.repeat(np.repeat(np.arange(nseg), ox.size), cnt)
         jj = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
         ii, jj = ii[ii < jj], jj[ii < jj]
