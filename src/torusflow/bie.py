@@ -28,7 +28,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.special import zeta
 
 from .errors import ResolutionError, SingularityError
-from .geometry import _spectral_antiderivative_coeffs, curvature, integrate_ds
+from .geometry import apply_symbol, curvature, integrate_ds, spectral_factor
 
 # solve_jump refuses a system whose estimated 1-norm condition number exceeds this.
 COND_LIMIT = 1e12
@@ -366,7 +366,7 @@ def potential_trace(curve, gradient, kappa):
     trace = np.empty(curve.n_markers)
     for lp, sl, value in zip(curve.components, slices, rows):
         dv_da = dv_ds[sl] * w[sl] * (lp.n / (2.0 * np.pi))
-        shape = np.fft.ifft(_spectral_antiderivative_coeffs(np.fft.fft(dv_da))).real
+        shape = apply_symbol(dv_da, spectral_factor(lp.n, -1))
         trace[sl] = shape + (value - shape[0])
     return trace
 

@@ -58,8 +58,8 @@ def cmd_simulate(cp):
     monitor = build_monitor(cp, curve, base)
     state = build_flow_state(cp, curve)
     t_end = _getfloat(cp, "flow", "t_end")
-    if t_end is None or t_end <= 0:
-        raise ConfigError("flow.t_end must be positive")
+    if t_end is None or not 0 < t_end < np.inf:
+        raise ConfigError("flow.t_end must be positive and finite")
     result = flow.run(
         state,
         monitor=monitor,
@@ -185,6 +185,8 @@ def cmd_verify(cp):
     # the first identity's centered difference needs three records
     steps = _getint_at_least(cp, "verify", "steps", 2)
     dt = _getfloat(cp, "verify", "dt")
+    if dt is not None and dt <= 0:
+        raise ConfigError("verify.dt must be positive when set")
     h = config_hash(cp)
     out = _outdir(cp)
     # short trajectory for the first identity

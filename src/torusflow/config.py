@@ -136,9 +136,12 @@ def _getfloat(cp, section, key):
     if raw == "":
         return None
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: not a number: '{raw}'") from exc
+        v = float(raw)
+    except ValueError:
+        v = np.nan
+    if np.isnan(v):
+        raise ConfigError(f"{section}.{key}: not a number: '{raw}'")
+    return v
 
 
 def _getint(cp, section, key):
@@ -162,9 +165,12 @@ def _getfloats(cp, section, key):
     """The comma-separated numbers of section.key; empty items are skipped."""
     raw = cp.get(section, key).strip()
     try:
-        return [float(t) for t in raw.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: not a list of numbers: '{raw}'") from exc
+        vals = [float(t) for t in raw.split(",") if t.strip()]
+    except ValueError:
+        vals = [np.nan]
+    if np.any(np.isnan(vals)):
+        raise ConfigError(f"{section}.{key}: not a list of numbers: '{raw}'")
+    return vals
 
 
 def build_geometry(cp):
@@ -281,5 +287,8 @@ def build_flow_state(cp, curve):
     gamma = _getfloat(cp, "flow", "gamma")
     if gamma is None or gamma < 0:
         raise ConfigError("flow.gamma must be >= 0")
-    params = FlowParams(dt=_getfloat(cp, "flow", "dt"), grid_n=build_grid_n(cp))
+    dt = _getfloat(cp, "flow", "dt")
+    if dt is not None and dt <= 0:
+        raise ConfigError("flow.dt must be positive when set")
+    params = FlowParams(dt=dt, grid_n=build_grid_n(cp))
     return make_state(curve, kind, gamma=gamma, params=params)

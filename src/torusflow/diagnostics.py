@@ -15,7 +15,8 @@ import numpy as np
 
 from .fields import _crossing_fill
 from .flow import Evaluation
-from .geometry import integrate_ds, resample_equal_arclength, signed_distance_grid
+from .geometry import (apply_symbol, integrate_ds, resample_equal_arclength,
+                       signed_distance_grid, spectral_factor)
 from .shapes import graph_over
 from .variation import second_variation_direct
 
@@ -168,14 +169,13 @@ def discrete_sobolev_norm(psi, reference, order):
     """Fourier norm (sum over loops of L * sum (1+k^2)^s |c_m|^2)^(1/2).
 
     k = 2 pi m / L is the physical wavenumber of mode m on a loop of length L;
-    psi is sampled at the reference markers.
+    psi is sampled at the reference markers.  By Parseval the sum over all
+    modes is the mean of psi (1+k^2)^s psi, the multiplier applied spectrally.
     """
     vals = reference.require_samples(psi)
     total = 0.0
     for lp, sl in zip(reference.components, reference.loop_slices()):
-        L = lp.length()
-        c = np.fft.fft(vals[sl]) / lp.n
-        m = np.fft.fftfreq(lp.n, d=1.0 / lp.n)
-        k = 2.0 * np.pi * m / L
-        total += L * float(np.sum((1.0 + k**2) ** order * np.abs(c) ** 2))
+        L, v = lp.length(), vals[sl]
+        k2 = -((2.0 * np.pi / L) ** 2) * spectral_factor(lp.n, 2).real
+        total += L * float(np.mean(v * apply_symbol(v, (1.0 + k2) ** order)))
     return float(np.sqrt(total))

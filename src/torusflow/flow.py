@@ -28,9 +28,7 @@ from .errors import GraphFailure, ResolutionError, TopologyError
 from .geometry import (
     MarkerLoop,
     PeriodicCurve,
-    _modes,
-    _spectral_antiderivative_coeffs,
-    _spectral_derivative_coeffs,
+    apply_symbol,
     arclength_derivative,
     curvature,
     displace,
@@ -38,6 +36,7 @@ from .geometry import (
     height_function,
     integrate_ds,
     perimeter,
+    spectral_factor,
     surface_laplacian,
 )
 
@@ -315,7 +314,7 @@ def _reconstruct(loopdata):
         theta = ld["dev"] + ld["turn"] * alpha
         tau = np.column_stack([np.cos(theta), np.sin(theta)])
         mean_tau = tau.mean(axis=0)
-        anti = np.fft.ifft(_spectral_antiderivative_coeffs(np.fft.fft(tau, axis=0)), axis=0).real
+        anti = apply_symbol(tau, spectral_factor(n, -1))
         x = (ld["L"] / (2.0 * np.pi)) * (anti + np.outer(alpha, mean_tau))
         # distribute the closure defect linearly so x(2pi) - x(0) = winding exactly
         defect = ld["L"] * mean_tau - ld["winding"]
@@ -326,14 +325,15 @@ def _reconstruct(loopdata):
 
 
 def _ssd_symbol(flow_kind, L, n):
-    q = np.abs(_modes(n)) * (2.0 * np.pi / L)
-    return -(q**4) if flow_kind == "sd" else -2.0 * q**3
+    # q^2 = -(2pi/L)^2 (ik)^2 is the symbol of -d^2/ds^2 on a loop of length L
+    q2 = -((2.0 * np.pi / L) ** 2) * spectral_factor(n, 2).real
+    return -(q2**2) if flow_kind == "sd" else -2.0 * q2**1.5
 
 
 def _ssd_linear_halfstep(loopdata, flow_kind, dt):
     for ld in loopdata:
         lam = _ssd_symbol(flow_kind, ld["L"], ld["n"])
-        ld["dev"] = np.fft.ifft(np.fft.fft(ld["dev"]) * np.exp(lam * 0.5 * dt)).real
+        ld["dev"] = apply_symbol(ld["dev"], np.exp(lam * 0.5 * dt))
 
 
 def _ssd_rhs(state, loopdata):
@@ -347,18 +347,15 @@ def _ssd_rhs(state, loopdata):
         v = V[sl]
         s_alpha = ld["L"] / (2.0 * np.pi)
         theta = ld["dev"] + ld["turn"] * alpha
-        theta_a = (
-            np.fft.ifft(_spectral_derivative_coeffs(np.fft.fft(ld["dev"]), 1)).real
-            + ld["turn"]
-        )
+        theta_a = apply_symbol(ld["dev"], spectral_factor(n, 1)) + ld["turn"]
         integrand = theta_a * v
         mean_i = float(integrand.mean())
         # dT/dalpha = -(theta_a v - mean)
-        T = -np.fft.ifft(_spectral_antiderivative_coeffs(np.fft.fft(integrand))).real
-        va = np.fft.ifft(_spectral_derivative_coeffs(np.fft.fft(v), 1)).real
+        T = -apply_symbol(integrand, spectral_factor(n, -1))
+        va = apply_symbol(v, spectral_factor(n, 1))
         theta_t = (-va + T * theta_a) / s_alpha
         lam = _ssd_symbol(state.flow_kind, ld["L"], n)
-        linear = np.fft.ifft(lam * np.fft.fft(ld["dev"])).real
+        linear = apply_symbol(ld["dev"], lam)
         tau = np.column_stack([np.cos(theta), np.sin(theta)])
         nu = np.column_stack([tau[:, 1], -tau[:, 0]])
         mean_dot = (v[:, None] * nu).mean(axis=0) + (T[:, None] * tau).mean(axis=0)

@@ -21,7 +21,7 @@ All operations are pure; curves are treated as immutable after construction.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,25 +44,39 @@ DISTANCE_CHUNK = 4096  # points per brute-force block of signed_distance_points
 HEIGHT_TOL = 1e-10  # residual |x_curve - x_ref - t nu_ref| at which a height has converged
 
 
-def _modes(n):
-    """Integer Fourier mode numbers in FFT order."""
-    return np.fft.fftfreq(n, d=1.0 / n)
+@lru_cache(maxsize=128)
+def spectral_factor(n, order):
+    """Read-only factor (ik)^order of d^order/dalpha^order on the rfft half
+    spectrum k = 0..n//2 of n real samples; order -1 is the zero-mean
+    antiderivative.  Odd orders zero the Nyquist mode of an even n."""
+    k = np.arange(n // 2 + 1, dtype=float)
+    fac = (1j * k) ** order if order >= 0 else np.append(0.0, 1.0 / (1j * k[1:]))
+    if order % 2 and n % 2 == 0:
+        fac[-1] = 0.0
+    fac.flags.writeable = False
+    return fac
 
 
-def _spectral_derivative_coeffs(coeffs, order):
-    """Differentiate FFT coefficients; Nyquist mode zeroed for odd orders."""
-    n = coeffs.shape[0]
-    k = _modes(n)
-    fac = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        fac[n // 2] = 0.0
-    return coeffs * fac.reshape(-1, *([1] * (coeffs.ndim - 1)))
+def apply_symbol(values, symbol):
+    """The Fourier multiplier `symbol` (one value per rfft mode) applied to real
+    periodic samples along axis 0, e.g. spectral_factor(len(values), order)."""
+    c = np.fft.rfft(values, axis=0)
+    return np.fft.irfft((c.T * symbol).T, values.shape[0], axis=0)
 
 
-def _spectral_antiderivative_coeffs(coeffs):
-    """Integrate FFT coefficients of the zero-mean part; the mean mode is zeroed."""
-    k = _modes(coeffs.shape[0]).reshape(-1, *([1] * (coeffs.ndim - 1)))
-    return np.divide(coeffs, 1j * k, out=np.zeros_like(coeffs), where=k != 0)
+def _evaluate_spectrum(coeffs, n, alphas, orders, winding=0.0):
+    """The trigonometric interpolant of n samples with half spectrum `coeffs`
+    (rfft / n) and its derivatives of the given orders at arbitrary alphas, all
+    from one table e^{ik alpha}, k = 0..n//2, built by a running product (error
+    ~ k eps); interior modes are doubled to stand in for their conjugates.  The
+    ramp alpha/2pi * winding of a lift is added back to orders 0 and 1."""
+    ek = np.full((alphas.size, coeffs.shape[0]), np.exp(1j * alphas)[:, None])
+    ek[:, 0] = 1.0
+    ek = np.cumprod(ek, axis=1)
+    c = np.array(coeffs, dtype=complex)
+    c[1 : (n + 1) // 2] *= 2.0
+    ramp = {0: np.multiply.outer(alphas / (2.0 * np.pi), winding), 1: winding / (2.0 * np.pi)}
+    return [(ek @ (c.T * spectral_factor(n, o)).T).real + ramp.get(o, 0.0) for o in orders]
 
 
 class MarkerLoop:
@@ -78,6 +92,7 @@ class MarkerLoop:
             )
         self.lift = lift
         self.winding = np.asarray(winding, dtype=int).reshape(2)
+        self._derivatives = {}
         closure = np.linalg.norm(
             np.diff(lift, axis=0, append=(lift[:1] + self.winding)), axis=1
         )
@@ -118,9 +133,9 @@ class MarkerLoop:
 
     @cached_property
     def _coeffs(self):
-        """Filtered FFT coefficients of the periodic part, computed once per
-        (immutable) loop and returned read-only."""
-        c = np.fft.fft(self._periodic_part(), axis=0) / self.n
+        """Filtered rfft half spectrum (rfft / n) of the periodic part, computed
+        once per (immutable) loop and returned read-only."""
+        c = np.fft.rfft(self._periodic_part(), axis=0) / self.n
         cut = SPECTRAL_FILTER_REL * np.abs(c).max()
         c[np.abs(c) < cut] = 0.0
         c.flags.writeable = False
@@ -128,34 +143,27 @@ class MarkerLoop:
 
     def spectral_tail(self):
         """max |k| |c_k| over |k| >= n/4, relative to the mean speed L/2pi."""
-        k = np.abs(_modes(self.n))
+        k = np.arange(self._coeffs.shape[0])
         high = k >= self.n / 4
         tail = float(np.max(k[high, None] * np.abs(self._coeffs[high])))
         return tail / (self.length() / (2.0 * np.pi))
 
     def derivative(self, order=1):
-        """d^order x / d alpha^order at the markers (alpha in [0, 2pi))."""
-        dq = np.fft.ifft(
-            _spectral_derivative_coeffs(self._coeffs, order) * self.n, axis=0
-        ).real
-        if order == 1:
-            dq = dq + self.winding / (2.0 * np.pi)
-        return dq
+        """d^order x / d alpha^order at the markers (alpha in [0, 2pi)), computed
+        once per order and returned read-only."""
+        if order not in self._derivatives:
+            fac = spectral_factor(self.n, order)[:, None]
+            dq = np.fft.irfft(self._coeffs * fac * self.n, self.n, axis=0)
+            if order == 1:
+                dq += self.winding / (2.0 * np.pi)
+            dq.flags.writeable = False
+            self._derivatives[order] = dq
+        return self._derivatives[order]
 
     def evaluate(self, alphas, order=0):
         """Trigonometric evaluation of the lift (or a derivative) at arbitrary alphas."""
         alphas = np.asarray(alphas, dtype=float)
-        coeffs = self._coeffs
-        if order:
-            coeffs = _spectral_derivative_coeffs(coeffs, order)
-        k = _modes(self.n)
-        ek = np.exp(1j * np.outer(alphas, k))
-        vals = (ek @ coeffs).real
-        if order == 0:
-            vals = vals + np.outer(alphas / (2.0 * np.pi), self.winding)
-        elif order == 1:
-            vals = vals + self.winding / (2.0 * np.pi)
-        return vals
+        return _evaluate_spectrum(self._coeffs, self.n, alphas, (order,), self.winding)[0]
 
     def speed(self):
         return np.linalg.norm(self.derivative(1), axis=1)
@@ -183,10 +191,10 @@ class MarkerLoop:
 
     def arclength(self):
         """Cumulative arclength s(alpha_j), s(0) = 0, spectrally integrated."""
-        c = np.fft.fft(self.speed()) / self.n
-        osc = np.fft.ifft(_spectral_antiderivative_coeffs(c) * self.n).real
+        sp = self.speed()
+        osc = apply_symbol(sp, spectral_factor(self.n, -1))
         alpha = 2.0 * np.pi * np.arange(self.n) / self.n
-        return c[0].real * alpha + (osc - osc[0])
+        return np.mean(sp) * alpha + (osc - osc[0])
 
     def _area_raw(self):
         """Signed shoelace integral of the lift, exact also for winding loops.
@@ -196,9 +204,7 @@ class MarkerLoop:
         lattice shifts which the owning curve resolves by point sampling.
         """
         q = self._periodic_part()
-        dq = np.fft.ifft(
-            _spectral_derivative_coeffs(np.fft.fft(q, axis=0), 1), axis=0
-        ).real
+        dq = apply_symbol(q, spectral_factor(self.n, 1))
         c = self.winding / (2.0 * np.pi)
         per = q[:, 0] * dq[:, 1] - q[:, 1] * dq[:, 0]
         per += c[1] * q[:, 0] - c[0] * q[:, 1]
@@ -404,17 +410,13 @@ def _resample_once(curve, n_per_loop):
             np.append(2.0 * np.pi * np.arange(lp.n) / lp.n, 2.0 * np.pi),
         )
         # Newton refinement of s(alpha) = target with spectral evaluations
-        sp_c = np.fft.fft(lp.speed()) / lp.n
-        k = _modes(lp.n)
-        anti = _spectral_antiderivative_coeffs(sp_c)
-        osc0 = np.sum(anti).real
-
+        sp_c = np.fft.rfft(lp.speed()) / lp.n
+        (osc0,) = _evaluate_spectrum(sp_c, lp.n, np.zeros(1), (-1,))
         for _ in range(8):
-            ek = np.exp(1j * np.outer(alpha, k))
-            res = sp_c[0].real * alpha + ((ek @ anti).real - osc0) - targets
+            osc, spd = _evaluate_spectrum(sp_c, lp.n, alpha, (-1, 0))
+            res = sp_c[0].real * alpha + (osc - osc0) - targets
             if np.max(np.abs(res)) < 1e-13 * max(L, 1.0):
                 break
-            spd = (ek @ sp_c).real
             alpha = alpha - res / spd
         new_lift = lp.evaluate(alpha)
         new_loops.append(MarkerLoop(new_lift, lp.winding))
@@ -436,8 +438,7 @@ def _d_ds(curve, f, order):
     for loop, values in zip(curve.components, curve.split(curve.require_samples(f))):
         sp = loop.speed()
         for _ in range(order):
-            c = np.fft.fft(values) / loop.n
-            values = np.fft.ifft(_spectral_derivative_coeffs(c, 1) * loop.n).real / sp
+            values = apply_symbol(values, spectral_factor(loop.n, 1)) / sp
         out.append(values)
     return np.concatenate(out)
 
@@ -646,22 +647,12 @@ def height_function(curve, reference):
         jstar = np.argmin(np.sum(clift**2, axis=1) - 2.0 * base @ clift.T, axis=1)
         alpha = 2.0 * np.pi * jstar / lp_c.n
         t = np.einsum("id,id->i", clift[jstar] - base, nu)
-        # half spectrum: interior modes doubled stand in for their conjugates;
-        # the Nyquist mode counts once in the value and not in the derivative
+        # unfiltered half spectrum of the offset lift
         n = lp_c.n
         coeffs = np.fft.rfft(clift - np.outer(np.arange(n) / n, lp_c.winding), axis=0) / n
-        coeffs[1 : (n + 1) // 2] *= 2.0
-        dcoeffs = coeffs * 1j * np.arange(coeffs.shape[0])[:, None]
-        if n % 2 == 0:
-            dcoeffs[n // 2] = 0.0
         converged = np.zeros(base.shape[0], dtype=bool)
         for _ in range(60):
-            # e^{ik alpha}, k = 0..n/2, by a running product (error ~ k eps)
-            ek = np.full((base.shape[0], coeffs.shape[0]), np.exp(1j * alpha)[:, None])
-            ek[:, 0] = 1.0
-            ek = np.cumprod(ek, axis=1)
-            x = (ek @ coeffs).real + np.outer(alpha / (2 * np.pi), lp_c.winding)
-            dx = (ek @ dcoeffs).real + lp_c.winding / (2 * np.pi)
+            x, dx = _evaluate_spectrum(coeffs, n, alpha, (0, 1), lp_c.winding)
             F = x - base - t[:, None] * nu
             converged = np.linalg.norm(F, axis=1) < HEIGHT_TOL
             if np.all(converged):

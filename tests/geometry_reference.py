@@ -1,12 +1,13 @@
-"""Dense geometry kernels: test-side references for the height solve and the
-intersection test.
+"""Dense geometry kernels: test-side references for the off-marker
+evaluation, the height solve and the intersection test.
 
-The package solves for the height function on a half-spectrum table built by
+The package evaluates loops off the markers on a half-spectrum table built by
 a running product, and draws the candidate pairs of its intersection test from
 a periodic cell list.  This module keeps the earlier dense versions for the
-tests to compare against: the height Newton loop evaluates the full N x N
-table exp(i alpha k) at every iteration, and the intersection test forms every
-one of the N(N-1)/2 segment pairs.  Both are O(N^2) in time and memory.
+tests to compare against: the evaluator and the height Newton loop form the
+full N x N table exp(i alpha k) over the complex FFT spectrum, and the
+intersection test forms every one of the N(N-1)/2 segment pairs.  All are
+O(N^2) in time and memory, and none uses the package's spectral helpers.
 """
 
 from __future__ import annotations
@@ -16,11 +17,45 @@ import numpy as np
 from torusflow.errors import GraphFailure, ResolutionError, TopologyError
 from torusflow.geometry import (
     HEIGHT_TOL,
+    SPECTRAL_FILTER_REL,
     _all_segments,
-    _modes,
-    _spectral_derivative_coeffs,
     tubular_radius,
 )
+
+
+def _modes(n):
+    """Integer Fourier mode numbers in FFT order."""
+    return np.fft.fftfreq(n, d=1.0 / n)
+
+
+def _spectral_derivative_coeffs(coeffs, order):
+    """Differentiate FFT coefficients; Nyquist mode zeroed for odd orders."""
+    n = coeffs.shape[0]
+    k = _modes(n)
+    fac = (1j * k) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        fac[n // 2] = 0.0
+    return coeffs * fac.reshape(-1, *([1] * (coeffs.ndim - 1)))
+
+
+def evaluate_dense(lp, alphas, order=0):
+    """Trigonometric evaluation of the lift of loop `lp` (or a derivative) at
+    arbitrary alphas, from the filtered full FFT spectrum of its periodic part."""
+    alpha_j = 2.0 * np.pi * np.arange(lp.n) / lp.n
+    periodic = lp.lift - np.outer(alpha_j / (2.0 * np.pi), lp.winding)
+    coeffs = np.fft.fft(periodic, axis=0) / lp.n
+    coeffs[np.abs(coeffs) < SPECTRAL_FILTER_REL * np.abs(coeffs).max()] = 0.0
+    alphas = np.asarray(alphas, dtype=float)
+    if order:
+        coeffs = _spectral_derivative_coeffs(coeffs, order)
+    k = _modes(lp.n)
+    ek = np.exp(1j * np.outer(alphas, k))
+    vals = (ek @ coeffs).real
+    if order == 0:
+        vals = vals + np.outer(alphas / (2.0 * np.pi), lp.winding)
+    elif order == 1:
+        vals = vals + lp.winding / (2.0 * np.pi)
+    return vals
 
 
 def check_intersections_all_pairs(curve):

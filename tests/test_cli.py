@@ -267,9 +267,19 @@ def test_small_grid_is_config_error(tmp_path, capsys):
         ("simulate", ["flow.c_cfl=0.5"]),
         ("simulate", ["flow.scheme=rk4"]),
         ("stability", ["stability.k_max=17"]),
+        ("simulate", ["flow.dt=0"]),
+        ("simulate", ["flow.dt=-1"]),
+        ("simulate", ["flow.dt=nan"]),
+        ("simulate", ["flow.kind=ms", "flow.gamma=nan"]),
+        ("simulate", ["flow.t_end=nan"]),
+        ("simulate", ["flow.t_end=inf"]),
+        ("verify", ["verify.dt=0"]),
+        ("verify", ["verify.dt=nan"]),
+        ("stability", ["stability.gammas=0,nan"]),
     ],
     ids=["max_steps", "verify_steps", "n_modes", "gammas", "lamella_h", "center", "tend",
-         "c_cfl", "scheme", "k_max"],
+         "c_cfl", "scheme", "k_max", "dt_zero", "dt_negative", "dt_nan", "gamma_nan",
+         "t_end_nan", "t_end_inf", "verify_dt_zero", "verify_dt_nan", "gammas_nan"],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, command, overrides):
     # an empty, non-numeric, short or out-of-range value, an unknown key and a

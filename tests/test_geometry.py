@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geometry_reference import check_intersections_all_pairs, height_function_dense
+from geometry_reference import check_intersections_all_pairs, evaluate_dense, height_function_dense
 from torusflow import geometry, shapes
 from torusflow.errors import GraphFailure, OrientationError, ResolutionError, TopologyError
 from torusflow.flow import FlowParams, StoppingMonitor, make_state, run
@@ -17,6 +17,7 @@ from torusflow.geometry import (
     RESAMPLE_TAIL_MAX,
     MarkerLoop,
     PeriodicCurve,
+    apply_symbol,
     arclength_derivative,
     curvature,
     enclosed_area,
@@ -27,6 +28,7 @@ from torusflow.geometry import (
     resample_equal_arclength,
     signed_distance_grid,
     signed_distance_points,
+    spectral_factor,
     surface_laplacian,
     write_snapshot,
 )
@@ -76,6 +78,70 @@ def test_marker_loop_coefficients_cached_read_only():
     assert lp._coeffs is lp._coeffs
     with pytest.raises(ValueError):
         lp._coeffs[1, 0] = 0.0
+    assert lp.derivative(1) is lp.derivative(1)
+    with pytest.raises(ValueError):
+        lp.derivative(1)[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        spectral_factor(64, 1)[1] = 0.0
+
+
+def _trig_poly(n, amps, order):
+    """Samples of sum a cos(k alpha) + b sin(k alpha) over amps {k: (a, b)} at n
+    markers, and of its exact derivative of `order` (-1: zero-mean
+    antiderivative); the Nyquist mode k = n/2 is kept only in even orders."""
+    alpha = 2.0 * np.pi * np.arange(n) / n
+    f = sum(a * np.cos(k * alpha) + b * np.sin(k * alpha) for k, (a, b) in amps.items())
+    d = np.zeros(n)
+    for k, (a, b) in amps.items():
+        if k == 0 or (2 * k == n and order % 2):
+            continue
+        phase = k * alpha + order * np.pi / 2
+        d += float(k) ** order * (a * np.cos(phase) + b * np.sin(phase))
+    return f, d
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("order", [1, 2, 3, -1])
+def test_spectral_derivatives_on_trig_polynomials(n, order):
+    amps = [
+        {0: (0.7, 0.0), 1: (0.3, -0.2), 5: (0.05, 0.1), 20: (1e-3, 2e-3), 32: (0.02, 0.0)},
+        {0: (-0.1, 0.0), 2: (0.4, 0.1), 9: (0.0, 0.03), 31: (1e-3, -1e-3), 32: (-0.01, 0.0)},
+    ]
+    cols = [_trig_poly(n, a, order) for a in amps]
+    f = np.column_stack([c[0] for c in cols])
+    expect = np.column_stack([c[1] for c in cols])
+    scale = max(1.0, np.abs(expect).max())
+    for vals, want in ((f, expect), (f[:, 0], expect[:, 0])):  # (n, 2) and 1-D layouts
+        assert np.abs(apply_symbol(vals, spectral_factor(n, order)) - want).max() <= 1e-13 * scale
+
+
+def _wobbly_strip(n, zigzag=0.0):
+    """Winding strip loop on a non-uniform parameter; `zigzag` adds the Nyquist
+    mode (-1)^j to the heights of an even n."""
+    t = np.arange(n) / n
+    y = 0.3 + 0.02 * np.sin(2 * np.pi * t) + zigzag * np.cos(np.pi * n * t)
+    return MarkerLoop(np.column_stack([t + 0.05 * np.sin(2 * np.pi * t), y]), (1, 0))
+
+
+def _wobbly_circle(n):
+    jj = 2 * np.pi * np.arange(n) / n
+    th = jj + 0.1 * np.sin(jj)
+    return MarkerLoop(np.column_stack([0.5 + 0.2 * np.cos(th), 0.5 + 0.2 * np.sin(th)]))
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [_wobbly_strip(64), _wobbly_strip(65), _wobbly_strip(64, 1e-3), _wobbly_circle(64),
+     _wobbly_circle(65)],
+    ids=["strip_64", "strip_65", "strip_nyquist_64", "circle_64", "circle_65"],
+)
+def test_evaluate_matches_dense_reference(loop):
+    # loops resolved to round-off: on an unresolved loop the k^2 of order 2
+    # amplifies the ~1e-17 rounding of every FFT coefficient in either evaluator
+    alphas = np.random.default_rng(7).uniform(-3.0, 10.0, 40)
+    for order in (0, 1, 2):
+        out = loop.evaluate(alphas, order)
+        assert np.abs(out - evaluate_dense(loop, alphas, order)).max() <= 1e-14
 
 
 def test_resample_idempotent():
