@@ -15,10 +15,10 @@ after deflating them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import block_diag, eigh
 
 from .flow import Evaluation
 from .geometry import arclength_derivative, curvature, perimeter
@@ -49,16 +49,10 @@ def translation_basis(curve):
     gram = np.einsum("i,id,ie->de", w, nu, nu)
     evals, evecs = np.linalg.eigh(gram)
     per = perimeter(curve)
-    basis, index = [], []
-    for i in range(2):
-        norm = np.sqrt(max(evals[i], 0.0))
-        if norm <= TRANSLATION_REL_TOL * per:
-            continue
-        vec = nu @ evecs[:, i]
-        basis.append(vec / norm)
-        index.append(i)
+    norms = np.sqrt(np.maximum(evals, 0.0))
+    index = [i for i in range(2) if norms[i] > TRANSLATION_REL_TOL * per]
     cond = float(evals[-1] / evals[0]) if evals[0] > 0 else np.inf
-    return np.array(basis), index, cond
+    return (nu @ evecs[:, index] / norms[index]).T, index, cond
 
 
 def min_translation_distance(phi, curve):
@@ -69,9 +63,7 @@ def min_translation_distance(phi, curve):
     if norm == 0.0:
         raise ValueError("translation distance of the zero function")
     basis, _, _ = translation_basis(curve)
-    proj = vals.copy()
-    for b in basis:
-        proj -= float(np.sum(w * vals * b)) * b
+    proj = vals - (basis @ (w * vals)) @ basis
     return float(np.sqrt(max(np.sum(w * proj**2), 0.0)) / norm)
 
 
@@ -79,41 +71,35 @@ def min_translation_distance(phi, curve):
 
 
 def _mode_basis(curve, n_modes):
-    """Per-loop [1, cos(m a), sin(m a)] columns and their arclength derivatives."""
-    cols, dcols, labels = [], [], []
-    nm = curve.n_markers
-    for li, lp in enumerate(curve.components):
-        a = 2.0 * np.pi * np.arange(lp.n) / lp.n
-        L = lp.length()
-        sl_start = sum(l.n for l in curve.components[:li])
-        sl = slice(sl_start, sl_start + lp.n)
+    """Per-loop [1, cos(m a), sin(m a)] columns and their arclength derivatives.
 
-        def put(vals, dvals, lab):
-            col = np.zeros(nm)
-            dcol = np.zeros(nm)
-            col[sl] = vals
-            dcol[sl] = dvals
-            cols.append(col)
-            dcols.append(dcol)
-            labels.append((li,) + lab)
-
-        put(np.ones(lp.n), np.zeros(lp.n), ("const",))
-        for m in range(1, n_modes + 1):
-            if 2 * m >= lp.n:
-                break
-            q = 2.0 * np.pi * m / L  # physical wavenumber on this loop
-            put(np.cos(m * a), -q * np.sin(m * a), ("cos", m))
-            put(np.sin(m * a), q * np.cos(m * a), ("sin", m))
-    return np.array(cols).T, np.array(dcols).T, labels
+    Every column lives on one loop, so both arrays are block diagonal; the
+    last return value lists each loop's (marker slice, column slice) block.
+    """
+    tables, dtables, labels, blocks = [], [], [], []
+    for li, (lp, sl) in enumerate(zip(curve.components, curve.loop_slices())):
+        m = np.arange(1, min(n_modes, (lp.n - 1) // 2) + 1)  # modes with 2m < n
+        ma = np.outer(2.0 * np.pi * np.arange(lp.n) / lp.n, m)
+        q = 2.0 * np.pi * m / lp.length()  # physical wavenumbers on this loop
+        t = np.ones((lp.n, 1 + 2 * m.size))
+        dt = np.zeros_like(t)
+        t[:, 1::2], t[:, 2::2] = np.cos(ma), np.sin(ma)
+        dt[:, 1::2], dt[:, 2::2] = -q * t[:, 2::2], q * t[:, 1::2]
+        tables.append(t)
+        dtables.append(dt)
+        labels += [(li, "const")] + [(li, f, k) for k in m.tolist() for f in ("cos", "sin")]
+        blocks.append((sl, slice(len(labels) - t.shape[1], len(labels))))
+    return block_diag(*tables), block_diag(*dtables), labels, blocks
 
 
 @dataclass
 class SecondVariationMatrix:
     """Four-part assembly of the quadratic form over the mode basis."""
 
-    basis: np.ndarray  # markers x n_basis
+    basis: np.ndarray  # markers x n_basis, block diagonal by loop
     basis_derivative: np.ndarray
     labels: list
+    blocks: list  # per loop: (marker slice, column slice) of its basis block
     local_part: np.ndarray
     curvature_part: np.ndarray
     nonlocal_kernel_part: np.ndarray
@@ -145,10 +131,8 @@ def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256):
     `grid_n` is kept for callers and not read.
     """
     ev = Evaluation(curve, "ms", gamma, grid_n)
-    B, dB, labels = _mode_basis(curve, n_modes)
+    B, dB, labels, blocks = _mode_basis(curve, n_modes)
     w = curve.arclength_weights()
-    local = dB.T @ (w[:, None] * dB)
-    curv = -B.T @ ((w * ev.kappa**2)[:, None] * B)
     res, lam = ev.criticality
     crit_sup = float(np.abs(res).max())
     warning = ""
@@ -158,16 +142,29 @@ def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256):
             "form omits the first-variation remainder and is diagnostic only"
         )
         warnings.warn(warning)
-    WB = w[:, None] * B
-    nonlocal_part = WB.T @ ev.operator.kernel @ WB
+
+    def loop_form(left, right, weight):  # block-diagonal left^T diag(weight) right
+        return block_diag(*(left[sl, cs].T @ (weight[sl, None] * right[sl, cs])
+                            for sl, cs in blocks))
+
+    local = loop_form(dB, dB, w)
+    curv = -loop_form(B, B, w * ev.kappa**2)
+    pot = loop_form(B, B, w * ev.potential_derivative)
+    gram = loop_form(B, B, w)
+    means = np.concatenate([B[sl, cs].T @ w[sl] for sl, cs in blocks])
+    # loop-pair blocks of the symmetric kernel for i <= j, mirrored below the diagonal
+    WB = [w[sl, None] * B[sl, cs] for sl, cs in blocks]
+    K, n = ev.operator.kernel, len(blocks)
+    pair = {(i, j): WB[i].T @ K[blocks[i][0], blocks[j][0]] @ WB[j]
+            for i, j in zip(*np.triu_indices(n))}
+    nonlocal_part = np.block([[pair[i, j] if i <= j else pair[j, i].T for j in range(n)]
+                              for i in range(n)])
     nonlocal_part = 0.5 * (nonlocal_part + nonlocal_part.T)
-    pot = B.T @ ((w * ev.potential_derivative)[:, None] * B)
-    gram = B.T @ (w[:, None] * B)
-    means = B.T @ w
     return SecondVariationMatrix(
         basis=B,
         basis_derivative=dB,
         labels=labels,
+        blocks=blocks,
         local_part=local,
         curvature_part=curv,
         nonlocal_kernel_part=nonlocal_part,
@@ -209,26 +206,29 @@ class SpectrumReport:
 
 
 def spectrum(matrix):
-    """Generalized eigensolve of the assembled form on the zero-mean subspace."""
-    from scipy.linalg import null_space
+    """Generalized eigensolve of the assembled form on the zero-mean subspace.
 
-    A = matrix.total()
-    M = matrix.gram
-    c = matrix.means
-    Z = null_space(c[None, :])  # orthonormal basis of the zero-mean subspace
-    evals, evecs = eigh(Z.T @ A @ Z, Z.T @ M @ Z)
-    funcs = matrix.basis @ (Z @ evecs)
-    curve = matrix.curve
-    w = curve.arclength_weights()
-    tbasis, index, _ = translation_basis(curve)
-    overlaps = np.zeros(evals.shape[0])
-    for i in range(evals.shape[0]):
-        f = funcs[:, i]
-        nrm = float(np.sum(w * f * f))
-        if nrm == 0:
-            continue
-        proj = sum(float(np.sum(w * f * b)) ** 2 for b in tbasis)
-        overlaps[i] = proj / nrm
+    H = I - u u^T reflects the column means c onto -|c| e_1 (c is never zero:
+    each loop's constant column integrates to its length), so the columns 1..
+    of H span the zero-mean subspace; H A H and H M H are rank-2 updates.
+    """
+    u = matrix.means.copy()
+    u[0] += np.linalg.norm(u)
+    u *= np.sqrt(2.0) / np.linalg.norm(u)
+
+    def reflect(A):  # H A H without row and column 0, A symmetric
+        q = A @ u - 0.5 * (u @ A @ u) * u
+        return (A - np.outer(u, q) - np.outer(q, u))[1:, 1:]
+
+    evals, evecs = eigh(reflect(matrix.total()), reflect(matrix.gram))
+    # basis coefficients H [0; evecs], then the eigenfunctions loop by loop
+    coeffs = np.vstack([np.zeros(evals.size), evecs]) - np.outer(u, u[1:] @ evecs)
+    funcs = np.vstack([matrix.basis[sl, cs] @ coeffs[cs] for sl, cs in matrix.blocks])
+    w = matrix.curve.arclength_weights()
+    tbasis, index, _ = translation_basis(matrix.curve)
+    nrm = w @ funcs**2
+    proj = np.sum(((w * tbasis) @ funcs) ** 2, axis=0)
+    overlaps = np.divide(proj, nrm, out=np.zeros_like(nrm), where=nrm != 0)
     scale = max(1.0, float(np.abs(evals).max()) if evals.size else 1.0)
     stab_tol = STAB_TOL_REL * scale
     non_trans = overlaps <= OVERLAP_THRESHOLD

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def test_plot_deterministic_and_empty(tmp_path, capsys):
     out1, out2 = str(tmp_path / "p1.svg"), str(tmp_path / "p2.svg")
     assert main(["plot", "--trace", trace, "--out", out1, "--hash", h]) == 0
     assert main(["plot", "--trace", trace, "--out", out2, "--hash", h]) == 0
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2
     assert f"config-hash: {h}".encode() in b1
     assert main(["plot", "--out", str(tmp_path / "x.svg")]) == 2

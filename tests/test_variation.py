@@ -13,7 +13,7 @@ from grid_reference import (
 )
 from torusflow import shapes
 from torusflow.flow import Evaluation
-from torusflow.geometry import arclength_derivative, integrate_ds
+from torusflow.geometry import PeriodicCurve, arclength_derivative, integrate_ds
 from torusflow.variation import (
     assemble_second_variation,
     criticality_residual,
@@ -24,6 +24,7 @@ from torusflow.variation import (
     spectrum,
     translation_basis,
 )
+from variation_reference import assemble_second_variation_dense, spectrum_dense
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +295,65 @@ def test_finite_difference_hessian_circle():
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.0
     assert errs[-1] / abs(q_exact) < 1e-3
+
+
+# -- loop blocks against the dense reference ----------------------------------------
+
+
+def _unequal_disks():
+    # 128 and 16 markers: n_modes=8 truncates the small loop's basis at 2m < 16
+    big = shapes.circle(0.15, (0.3, 0.3), n=128).components[0]
+    small = shapes.circle(0.08, (0.75, 0.7), n=16).components[0]
+    return PeriodicCurve([big, small])
+
+
+REFERENCE_CASES = [
+    *[
+        pytest.param(lambda k=k: shapes.lamella(k, 0.5, 64), g, id=f"lamella{k}-g{g:g}")
+        for k in (1, 2, 3, 4)
+        for g in (10.0, 100.0)
+    ],
+    pytest.param(lambda: shapes.perturbed_circle(0.2, 0.01, 3, n=128), 1.0, id="perturbed_circle"),
+    pytest.param(lambda: shapes.strip(0.3, angle=45, n=64), 10.0, id="strip45"),
+    pytest.param(_unequal_disks, 1.0, id="unequal_n"),
+]
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("make, gamma", REFERENCE_CASES)
+def test_loop_blocks_match_dense_reference(make, gamma):
+    curve = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-critical curves warn on both routes
+        mat = assemble_second_variation(curve, gamma, n_modes=8)
+        ref = assemble_second_variation_dense(curve, gamma, n_modes=8)
+    assert mat.labels == ref.labels and mat.warning == ref.warning
+    for name in (
+        "basis", "basis_derivative", "local_part", "curvature_part",
+        "nonlocal_kernel_part", "potential_part", "gram", "means",
+    ):
+        assert _rel(getattr(mat, name), getattr(ref, name)) <= 1e-14, name
+    rep, rref = spectrum(mat), spectrum_dense(ref)
+    assert rep.classification == rref.classification
+    assert rep.translation_index == rref.translation_index
+    assert _rel(rep.eigenvalues, rref.eigenvalues) <= 1e-12
+    # a backward-stable eigensolve moves every eigenvalue by ~eps * |A|: the
+    # gap is compared on the scale of the spectrum, as the marginal band is
+    scale = np.abs(rref.eigenvalues).max()
+    assert abs(rep.gap_on_T_perp - rref.gap_on_T_perp) <= 1e-12 * scale
+    assert _rel(rep.translation_overlap, rref.translation_overlap) <= 1e-12
+    # eigenfunctions up to sign, where the eigenvalue is simple: in a
+    # degenerate eigenspace the two routes may return different rotations
+    ev = rref.eigenvalues
+    sep = np.minimum(np.diff(ev, prepend=-np.inf), np.diff(ev, append=np.inf))
+    simple = np.flatnonzero(sep > 1e-6 * max(1.0, scale))
+    assert simple.size > 0
+    for i in simple:
+        f, g = rep.eigenvectors[:, i], rref.eigenvectors[:, i]
+        assert min(np.abs(f - g).max(), np.abs(f + g).max()) <= 1e-8 * np.abs(g).max()
 
 
 # -- geometric Poincare / thresholds ------------------------------------------------
