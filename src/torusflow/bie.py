@@ -479,22 +479,3 @@ def solve_jump(curve, g, operator=None):
         weights=op.weights,
         rcond=float(rcond),
     )
-
-
-def write_jump_csv(solution, path):
-    """Per-marker dump: loop,idx,s,g,sigma,jump,dnw_plus,dnw_minus."""
-    curve = solution.curve
-    lines = ["loop,idx,s,g,sigma,jump,dnw_plus,dnw_minus"]
-    pos = 0
-    for li, lp in enumerate(curve.components):
-        s = lp.arclength()
-        for j in range(lp.n):
-            k = pos + j
-            lines.append(
-                f"{li},{j},{s[j]:.17g},{solution.boundary_data[k]:.17g},"
-                f"{solution.density[k]:.17g},{solution.jump[k]:.17g},"
-                f"{solution.one_sided_plus[k]:.17g},{solution.one_sided_minus[k]:.17g}"
-            )
-        pos += lp.n
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -64,7 +64,7 @@ def cmd_simulate(cp):
         state,
         monitor=monitor,
         t_end=t_end,
-        snapshot_every=_getint(cp, "output", "snapshot_every") or 0,
+        snapshot_every=_getint_at_least(cp, "output", "snapshot_every", 0),
         max_steps=_getint_at_least(cp, "flow", "max_steps", 1),
     )
     h = config_hash(cp)
@@ -230,7 +230,7 @@ def cmd_sweep(cp, path, overrides):
     values = [v.strip() for v in cp.get("sweep", "values").split(",") if v.strip()]
     if not key or "." not in key or not values:
         raise ConfigError("sweep needs sweep.key=section.key and sweep.values=v1,v2,...")
-    workers = _getint(cp, "sweep", "workers") or 1
+    workers = min(_getint_at_least(cp, "sweep", "workers", 1), len(values))
     jobs = [(path, tuple(overrides), f"{key}={v}") for v in values]
     if workers > 1:
         with get_context("spawn").Pool(workers) as pool:

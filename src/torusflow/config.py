@@ -189,44 +189,44 @@ def build_geometry(cp):
             raise ConfigError(f"geometry.{key} must lie in (0, 0.5)")
         return r
 
+    def _need(key, get=_getfloat):
+        v = get(cp, "geometry", key)
+        if v is None:
+            raise ConfigError(f"geometry.{key} must be set")
+        return v
+
     if typ == "circle":
         curve = shapes.circle(_radius("r"), center, n, phase=g.get("phase"))
     elif typ == "ellipse":
         curve = shapes.ellipse(_radius("a"), _radius("b"), center, n)
     elif typ == "strip":
         curve = shapes.strip(
-            _getfloat(cp, "geometry", "h"),
-            offset=_getfloat(cp, "geometry", "offset"),
+            _need("h"),
+            offset=_need("offset"),
             angle=_getint(cp, "geometry", "angle"),
             n=n,
         )
     elif typ == "lamella":
-        curve = shapes.lamella(
-            _getint(cp, "geometry", "k"), h=_getfloat(cp, "geometry", "h"), n_per_loop=n
-        )
+        curve = shapes.lamella(_need("k", _getint), h=_need("h"), n_per_loop=n)
     elif typ == "perturbed_circle":
         r = _radius("r")
         eps = _getfloat(cp, "geometry", "amplitude")
         if eps is None or not 0.0 <= eps < 0.5 * r:
             raise ConfigError("geometry.amplitude must lie in [0, r/2)")
-        curve = shapes.perturbed_circle(r, eps, _getint(cp, "geometry", "mode"), center, n)
+        curve = shapes.perturbed_circle(r, eps, _need("mode", _getint), center, n)
         base = shapes.circle(r, center, n)
     elif typ == "perturbed_strip":
-        h = _getfloat(cp, "geometry", "h")
+        h, offset = _need("h"), _need("offset")
         curve = shapes.perturbed_strip(
-            h,
-            _getfloat(cp, "geometry", "amplitude"),
-            _getint(cp, "geometry", "mode"),
-            offset=_getfloat(cp, "geometry", "offset"),
-            n=n,
+            h, _need("amplitude"), _need("mode", _getint), offset=offset, n=n,
             which=g.get("which"),
         )
-        base = shapes.strip(h, offset=_getfloat(cp, "geometry", "offset"), n=n)
+        base = shapes.strip(h, offset=offset, n=n)
     elif typ == "perturbed_lamella":
-        k = _getint(cp, "geometry", "k")
-        h = _getfloat(cp, "geometry", "h")
+        k = _need("k", _getint)
+        h = _need("h")
         curve = shapes.perturbed_lamella(
-            k, _getfloat(cp, "geometry", "amplitude"), _getint(cp, "geometry", "mode"),
+            k, _need("amplitude"), _need("mode", _getint),
             h=h, n_per_loop=n,
         )
         base = shapes.lamella(k, h=h, n_per_loop=n)

@@ -126,16 +126,14 @@ class MarkerLoop:
 
     # -- spectral machinery -------------------------------------------------
 
-    def _periodic_part(self):
-        """lift minus the linear winding ramp; periodic in the loop parameter."""
-        alpha = 2.0 * np.pi * np.arange(self.n) / self.n
-        return self.lift - np.outer(alpha / (2.0 * np.pi), self.winding)
-
     @cached_property
     def _coeffs(self):
-        """Filtered rfft half spectrum (rfft / n) of the periodic part, computed
-        once per (immutable) loop and returned read-only."""
-        c = np.fft.rfft(self._periodic_part(), axis=0) / self.n
+        """Filtered rfft half spectrum (rfft / n) of the periodic part
+        q = lift - alpha winding / 2pi, computed once per (immutable) loop and
+        returned read-only."""
+        alpha = 2.0 * np.pi * np.arange(self.n) / self.n
+        q = self.lift - np.outer(alpha / (2.0 * np.pi), self.winding)
+        c = np.fft.rfft(q, axis=0) / self.n
         cut = SPECTRAL_FILTER_REL * np.abs(c).max()
         c[np.abs(c) < cut] = 0.0
         c.flags.writeable = False
@@ -196,28 +194,25 @@ class MarkerLoop:
         alpha = 2.0 * np.pi * np.arange(self.n) / self.n
         return np.mean(sp) * alpha + (osc - osc[0])
 
-    def _area_raw(self):
-        """Signed shoelace integral of the lift, exact also for winding loops.
-
-        For winding loops the linear ramp is integrated analytically so the
-        quadrature stays spectral; the result is defined modulo half-integer
-        lattice shifts which the owning curve resolves by point sampling.
-        """
-        q = self._periodic_part()
-        dq = apply_symbol(q, spectral_factor(self.n, 1))
-        c = self.winding / (2.0 * np.pi)
-        per = q[:, 0] * dq[:, 1] - q[:, 1] * dq[:, 0]
-        per += c[1] * q[:, 0] - c[0] * q[:, 1]
-        g = c[0] * q[:, 1] - c[1] * q[:, 0]
-        integral = 2.0 * np.pi * np.mean(per) + 2.0 * np.pi * g[0] - 2.0 * np.pi * np.mean(g)
-        return 0.5 * integral
+    def _line_integral(self):
+        """-2pi <q_y dq_x/dalpha> - w_x <q_y> + w_y <q_x> + w_x w_y / 2, with q
+        the periodic part, w the winding and <.> the mean over the loop, by
+        Parseval on the half spectrum: the lift's -integral y dx plus
+        w_y x_1 + w_x w_y (x_1 the first marker's x), hence the signed area
+        of a closed loop."""
+        c = self._coeffs
+        k = np.arange(c.shape[0])
+        wx, wy = self.winding
+        q_dq = 2.0 * float(np.sum(k * np.imag(c[:, 1] * np.conj(c[:, 0]))))
+        return -2.0 * np.pi * q_dq - wx * c[0, 1].real + wy * c[0, 0].real + 0.5 * wx * wy
 
     @property
     def orientation(self):
-        """+1 for counterclockwise lifts (disk-like phase inside), else -1."""
+        """+1 for counterclockwise lifts (disk-like phase inside), else -1: the
+        sign of the signed area of a closed loop; winding loops count as +1."""
         if np.any(self.winding):
             return 1
-        return 1 if self._area_raw() >= 0 else -1
+        return 1 if self._line_integral() >= 0 else -1
 
 
 class PeriodicCurve:
@@ -270,11 +265,8 @@ class PeriodicCurve:
 
     @cached_property
     def _area(self):
-        """Polygon area by the torus scanline plus the chord-to-arc lens
-        correction, computed once per (immutable) curve; see enclosed_area."""
-        poly = _polygon_area_scanline(self)
-        lens = sum(lp._area_raw() for lp in self.components) - _polygon_shoelace_lift(self)
-        return poly + lens
+        """See enclosed_area; computed once per (immutable) curve."""
+        return _phase_area(self)
 
     @cached_property
     def _tubular_radius(self):
@@ -461,8 +453,10 @@ def integrate_ds(curve, values):
     return float(np.sum(curve.arclength_weights() * curve.require_samples(values)))
 
 
-def _wrap_knots(a, d, y0):
-    """(segment index, parameter) pairs where a segment's y crosses y0 + Z."""
+def _row_crossings(a, d, y0):
+    """x and sign(dy) of each crossing of the segments a + t d with the rows
+    y0 + Z; the half-open rule (t in [0, 1) upward, (0, 1] downward) counts a
+    crossing at a vertex once."""
     dy = d[:, 1]
     lo = np.minimum(a[:, 1], a[:, 1] + dy)
     hi = np.maximum(a[:, 1], a[:, 1] + dy)
@@ -470,83 +464,43 @@ def _wrap_knots(a, d, y0):
     khi = np.floor(hi - y0 + 1e-12).astype(int)
     counts = np.where(dy != 0.0, np.maximum(khi - klo + 1, 0), 0)
     seg = np.repeat(np.arange(a.shape[0]), counts)
-    if seg.size == 0:
-        return seg, np.empty(0)
-    offs = np.arange(counts.sum()) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-    )
-    kk = klo[seg] + offs
+    kk = klo[seg] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     t = (y0 + kk - a[seg, 1]) / dy[seg]
-    return seg, t
+    up = dy[seg] > 0
+    ok = np.where(up, (t >= 0.0) & (t < 1.0), (t > 0.0) & (t <= 1.0))
+    return a[seg[ok], 0] + t[ok] * d[seg[ok], 0], np.where(up[ok], 1.0, -1.0)
 
 
-def _polygon_area_scanline(curve, y0=0.34078604706783, x0=0.21370586327156):
-    """Exact phase area of the marker polygon on the torus, winding-aware.
+def _phase_area(curve, y0=0.34078604706783, x0=0.21370586327156):
+    """Phase area of the curve's trigonometric interpolant, winding-aware.
 
-    Column-coverage identity: for each x the covered length equals
-    sum(-dir * yhat) over crossings plus 1 if the base point (x, y0) lies
-    inside; integrating in x turns the first part into per-segment trapezoid
-    integrals of the mod-1 height and the second into the covered length of
-    the base row.  Exact for polygons, including winding loops.
+    The column x in [x0, x0 + 1) covers chi_E(x, y0) - sum_j dir_j yhat_j of
+    E, over its crossings j with the curve (dir_j = sign dx, yhat_j =
+    (y_j - y0) mod 1).  Integrated over x by parts, yhat = y - y0 -
+    floor(y - y0) leaves per loop the line integral MarkerLoop._line_integral
+    and the step w_x floor(y_1 - y0) of its first marker, and from the base
+    row chi_E(., y0) only the integers floor(x_c - x0) at the polygon's row
+    crossings c; the terms y0 w_x - x0 w_y cancel over a null-homologous
+    curve.  The row y0 is nudged off the marker heights.
     """
     a, b = _all_segments(curve)
-    d = b - a
     ys_all = np.concatenate([a[:, 1], b[:, 1]])
     while np.min(np.abs(((ys_all - y0 + 0.5) % 1.0) - 0.5)) < 1e-12:
         y0 += 0.0123456789
-    corner_inside = float(signed_distance_points(curve, np.array([[x0, y0]]))[0] < 0)
-    # row measure: half-open crossing rule, one count per vertex pass
-    seg, t = _wrap_knots(a, d, y0)
-    measure = corner_inside
-    if seg.size:
-        dy = d[seg, 1]
-        ok = np.where(dy > 0, (t >= 0.0) & (t < 1.0), (t > 0.0) & (t <= 1.0))
-        segk, tk = seg[ok], t[ok]
-        xhat = np.mod(a[segk, 0] + tk * d[segk, 0] - x0, 1.0)
-        measure += float(np.sum(np.sign(d[segk, 1]) * xhat))
-    # column integrals: -int yhat dx per segment, split where yhat wraps
-    nseg = a.shape[0]
-    keep_int = (t > 1e-15) & (t < 1.0 - 1e-15)
-    interior, t_int = seg[keep_int], t[keep_int]
-    counts = np.bincount(interior, minlength=nseg)
-    # flat per-segment knot lists [0, sorted interior wraps ..., 1]
-    starts = np.concatenate([[0], np.cumsum(counts + 2)[:-1]])
-    flat = np.zeros(int(np.sum(counts + 2)))
-    segid = np.repeat(np.arange(nseg), counts + 2)
-    if t_int.size:
-        lex = np.lexsort((t_int, interior))
-        seg_by, t_by = interior[lex], t_int[lex]
-        run = np.arange(t_by.size) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        flat[starts[seg_by] + 1 + run] = t_by
-    flat[starts + counts + 1] = 1.0
-    piece = np.ones(flat.size, dtype=bool)
-    piece[starts + counts + 1] = False  # the last knot of a segment starts no piece
-    idx0 = np.nonzero(piece)[0]
-    t0, t1, segp = flat[idx0], flat[idx0 + 1], segid[idx0]
-    tm = 0.5 * (t0 + t1)
-    shift = y0 + np.floor(a[segp, 1] + tm * d[segp, 1] - y0)
-    yh0 = a[segp, 1] + t0 * d[segp, 1] - shift
-    yh1 = a[segp, 1] + t1 * d[segp, 1] - shift
-    dx = (t1 - t0) * d[segp, 0]
-    total = -float(np.sum(0.5 * (yh0 + yh1) * dx))
-    return total + measure
-
-
-def _polygon_shoelace_lift(curve):
-    """Mixed shoelace of the marker polygon on the lift (chord areas)."""
-    a, b = _all_segments(curve)
-    return 0.5 * float(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+    x, s = _row_crossings(a, b - a, y0)
+    area = float(signed_distance_points(curve, np.array([[x0, y0]]))[0] < 0)
+    area -= float(np.sum(s * np.floor(x - x0)))
+    for lp in curve.components:
+        area += lp.winding[0] * float(np.floor(lp.lift[0, 1] - y0)) + lp._line_integral()
+    return area
 
 
 def enclosed_area(curve, check=False):
     """Area of the phase E in (0,1), winding-aware and spectrally accurate.
 
-    Exact polygon area by the torus scanline, plus the chord-to-arc lens
-    correction of the trigonometric interpolant (a sum of local areas, hence
-    free of mod-1 ambiguity).  The area is computed once per curve; the range
-    check and, with `check`, the orientation probe run at every call.
+    One spectral line integral per loop plus integers read off one row of
+    the torus (see _phase_area).  The area is computed once per curve; the
+    range check and, with `check`, the orientation probe run at every call.
     """
     area = curve._area
     if not 0.0 < area < 1.0:

@@ -23,7 +23,6 @@ from torusflow.bie import (
     potential_gradient,
     potential_trace,
     solve_jump,
-    write_jump_csv,
 )
 from torusflow.errors import SingularityError
 from torusflow.flow import Evaluation
@@ -447,16 +446,3 @@ def test_potential_normal_derivative_identity():
     st = shapes.strip(0.3, n=128)
     dnv = Evaluation(st, "ms").potential_derivative
     np.testing.assert_allclose(dnv, oracles.strip_normal_derivative(0.3), atol=1e-12)
-
-
-def test_jump_csv_dump(tmp_path):
-    c = shapes.circle(0.2, n=64)
-    th = np.arctan2(c.markers()[:, 1] - 0.5, c.markers()[:, 0] - 0.5)
-    sol = solve_jump(c, np.cos(2 * th))
-    path = tmp_path / "jump.csv"
-    write_jump_csv(sol, path)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        rows = fh.readlines()
-    assert header == "loop,idx,s,g,sigma,jump,dnw_plus,dnw_minus"
-    assert len(rows) == 64

@@ -293,6 +293,62 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, overrides):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("simulate", ["geometry.type=strip", "geometry.h="]),
+        ("simulate", ["geometry.type=strip", "geometry.offset="]),
+        ("simulate", ["geometry.type=lamella", "geometry.k="]),
+        ("simulate", ["geometry.type=perturbed_circle", "geometry.mode="]),
+        ("simulate", ["geometry.type=perturbed_strip", "geometry.amplitude="]),
+        ("simulate", ["geometry.type=perturbed_lamella", "geometry.amplitude="]),
+        ("simulate", ["output.snapshot_every=-2"]),
+        ("sweep", ["sweep.key=geometry.mode", "sweep.values=1,2", "sweep.workers=-3"]),
+    ],
+    ids=["h", "offset", "k", "mode", "amplitude", "lamella_amplitude", "snapshot_every",
+         "workers"],
+)
+def test_empty_or_negative_count_is_config_error(tmp_path, capsys, command, overrides):
+    # an empty shape parameter and a negative snapshot interval or worker
+    # count are config errors (2), not internal errors (3) or quietly run
+    args = [command, "-o", f"output.dir={tmp_path}"]
+    for ov in overrides:
+        args += ["-o", ov]
+    assert main(args) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_sweep_pool_has_at_most_one_process_per_job(tmp_path, capsys, monkeypatch):
+    import torusflow.cli as cli
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [(extra, 0) for _, _, extra in jobs]
+
+    class Context:
+        def __init__(self, method):
+            assert method == "spawn"
+            self.Pool = Pool
+
+    monkeypatch.setattr(cli, "get_context", Context)
+    body = SD_RUN.format(out=tmp_path) + "\n[sweep]\nkey = geometry.mode\nvalues = 1,2,3\n"
+    path = write_ini(tmp_path, body)
+    assert main(["sweep", path, "-o", "sweep.workers=64"]) == 0
+    assert main(["sweep", path, "-o", "sweep.workers=2"]) == 0
+    assert sizes == [3, 2]
+
+
 def test_dotted_flag_overrides(tmp_path, capsys):
     path = write_ini(tmp_path, SD_RUN.format(out=tmp_path))
     assert main(["simulate", path, "--flow.t_end=1.28e-4"]) == 0

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geometry_reference import check_intersections_all_pairs, evaluate_dense, height_function_dense
+from geometry_reference import (
+    area_scanline_lens,
+    check_intersections_all_pairs,
+    evaluate_dense,
+    height_function_dense,
+)
 from torusflow import geometry, shapes
 from torusflow.errors import GraphFailure, OrientationError, ResolutionError, TopologyError
 from torusflow.flow import FlowParams, StoppingMonitor, make_state, run
@@ -275,13 +280,13 @@ def test_enclosed_area_computed_once_per_curve(monkeypatch):
 
     loops = irregular_circle().components
     calls = []
-    scanline = geometry._polygon_area_scanline
+    phase_area = geometry._phase_area
 
     def counting(curve):
         calls.append(curve)
-        return scanline(curve)
+        return phase_area(curve)
 
-    monkeypatch.setattr(geometry, "_polygon_area_scanline", counting)
+    monkeypatch.setattr(geometry, "_phase_area", counting)
     c = PeriodicCurve(loops, check=False)
     first = enclosed_area(c)
     assert enclosed_area(c, check=True) == first
@@ -524,6 +529,54 @@ def test_snapshot_roundtrip_bit_exact(spec):
         np.array_equal(a.winding, b.winding)
         for a, b in zip(c.components, c2.components)
     )
+
+
+def phase_variants(curve, i, j, r, complement):
+    """`curve` moved by the lattice vector (i, j), rolled by r markers and,
+    with `complement`, reversed so the phase is the other side."""
+    loops = [rolled(MarkerLoop(lp.lift + (i, j), lp.winding), r) for lp in curve.components]
+    if complement:
+        loops = [MarkerLoop(lp.lift[::-1], -lp.winding) for lp in loops]
+    return PeriodicCurve(loops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SHAPES, st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 63), st.booleans())
+def test_enclosed_area_matches_scanline_lens_reference(spec, i, j, r, complement):
+    c = phase_variants(build(spec), i, j, r, complement)
+    assert abs(enclosed_area(c) - area_scanline_lens(c)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [shapes.strip(0.3, offset=0.6, angle=45, n=64), shapes.perturbed_lamella(2, 0.01, 3, h=0.4)],
+    ids=["strip45", "perturbed_lamella"],
+)
+@pytest.mark.parametrize("i, j, r", [(0, 0, 0), (2, -3, 5), (-1, 1, 17)])
+@pytest.mark.parametrize("complement", [False, True])
+def test_enclosed_area_matches_reference_on_strips(curve, i, j, r, complement):
+    c = phase_variants(curve, i, j, r, complement)
+    assert abs(enclosed_area(c) - area_scanline_lens(c)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "loops",
+    [
+        # a CCW disk beside a CW disk: inside one, outside the other
+        [(0.1, (0.25, 0.5), "inside"), (0.15, (0.7, 0.5), "outside")],
+        # nested disks traveled the same way
+        [(0.3, (0.5, 0.5), "inside"), (0.1, (0.5, 0.5), "inside")],
+    ],
+    ids=["ccw_beside_cw", "nested_same_way"],
+)
+def test_inconsistent_orientation_raises_on_the_reference_area(loops):
+    c = PeriodicCurve(
+        [shapes.circle(r, center, n=64, phase=ph).components[0] for r, center, ph in loops],
+        check=False,
+    )
+    assert abs(c._area - area_scanline_lens(c)) <= 1e-13
+    with pytest.raises(OrientationError):
+        enclosed_area(c, check=True)
 
 
 def test_markers_fold_into_unit_cell():
