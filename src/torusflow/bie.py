@@ -285,11 +285,6 @@ class SingleLayerOperator:
     kernel: np.ndarray  # symmetric kernel matrix, log part folded in
     weights: np.ndarray  # arclength quadrature weights
 
-    @property
-    def matrix(self):
-        """Matrix mapping marker densities to potential values."""
-        return self.kernel * self.weights[None, :]
-
     def apply(self, sigma):
         return self.kernel @ (self.weights * np.asarray(sigma))
 
@@ -455,14 +450,17 @@ def solve_jump(curve, g, operator=None):
         raise ValueError("boundary data must be finite")
     op = operator if operator is not None else assemble_single_layer(curve)
     n = curve.n_markers
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = op.matrix
+    # filled and factored in place: the bordered matrix is the only n^2 temporary
+    A = np.empty((n + 1, n + 1), order="F")
+    np.multiply(op.kernel, op.weights, out=A[:n, :n])
     A[:n, n] = 1.0
     A[n, :n] = op.weights
+    A[n, n] = 0.0
     rhs = np.concatenate([gv, [0.0]])
-    lu, piv = lu_factor(A)
-    gecon = get_lapack_funcs("gecon", (A,))
-    rcond = gecon(lu, np.linalg.norm(A, 1))[0]
+    lange, gecon = get_lapack_funcs(("lange", "gecon"), (A,))
+    anorm = lange("1", A)
+    lu, piv = lu_factor(A, overwrite_a=True)
+    rcond = gecon(lu, anorm)[0]
     if rcond < 1.0 / COND_LIMIT:
         raise ResolutionError(
             f"single-layer system condition ~{1.0 / max(rcond, 1e-300):.2e}; "

@@ -14,7 +14,8 @@ class ResolutionError(TorusflowError):
 
 
 class OrientationError(TorusflowError):
-    """Loop orientations are mutually inconsistent (computed phase area not in (0,1))."""
+    """Loop orientations do not bound a phase: windings not null-homologous, a
+    coverage count spanning more than two values, or an area not in (0,1)."""
 
 
 class GraphFailure(TorusflowError):

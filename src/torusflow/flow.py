@@ -396,7 +396,7 @@ def step(state, dt):
     """Advance one SSD step (its tangential velocity keeps the markers
     equidistributed), check the new curve, restore the volume."""
     newc = _ssd_step(state, dt)
-    newc.validate(probe_area=False)
+    newc.validate()
     # the stepped state is built from the corrected curve, so its area check
     # sees the area after the correction
     newc, delta = enforce_volume(newc, state.target_area)

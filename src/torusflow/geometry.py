@@ -39,7 +39,6 @@ SPECTRAL_FILTER_REL = 1e-13
 # trigonometric interpolant no longer carries the curve (and its area).
 RESAMPLE_TAIL_MAX = 1e-3
 RESAMPLE_PASSES = 3  # resampling passes at most; later ones tighten a far-from-arclength input
-AREA_PROBES = 24  # the orientation probe of enclosed_area samples an AREA_PROBES^2 grid
 DISTANCE_CHUNK = 4096  # points per brute-force block of signed_distance_points
 HEIGHT_TOL = 1e-10  # residual |x_curve - x_ref - t nu_ref| at which a height has converged
 
@@ -72,7 +71,7 @@ def _evaluate_spectrum(coeffs, n, alphas, orders, winding=0.0):
     ramp alpha/2pi * winding of a lift is added back to orders 0 and 1."""
     ek = np.full((alphas.size, coeffs.shape[0]), np.exp(1j * alphas)[:, None])
     ek[:, 0] = 1.0
-    ek = np.cumprod(ek, axis=1)
+    np.cumprod(ek, axis=1, out=ek)
     c = np.array(coeffs, dtype=complex)
     c[1 : (n + 1) // 2] *= 2.0
     ramp = {0: np.multiply.outer(alphas / (2.0 * np.pi), winding), 1: winding / (2.0 * np.pi)}
@@ -283,7 +282,7 @@ class PeriodicCurve:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, probe_area=True):
+    def validate(self):
         total_winding = np.zeros(2, dtype=int)
         for lp in self.components:
             if lp.n < MIN_MARKERS:
@@ -297,7 +296,7 @@ class PeriodicCurve:
                 f"boundary is not null-homologous: windings sum to {total_winding}"
             )
         self._check_intersections()
-        enclosed_area(self, check=probe_area)  # OrientationError on inconsistency
+        enclosed_area(self)  # OrientationError on inconsistency
 
     def _check_intersections(self):
         a0, a1 = _all_segments(self)
@@ -387,7 +386,7 @@ def resample_equal_arclength(curve, n_per_loop):
             dev = max(dev, float((w.max() - w.min()) / w.mean()))
         if dev < 1e-12:
             break
-    out.validate(probe_area=False)
+    out.validate()
     return out
 
 
@@ -455,20 +454,25 @@ def integrate_ds(curve, values):
 
 def _row_crossings(a, d, y0):
     """x and sign(dy) of each crossing of the segments a + t d with the rows
-    y0 + Z; the half-open rule (t in [0, 1) upward, (0, 1] downward) counts a
-    crossing at a vertex once."""
+    y0 + Z, which miss every marker height."""
     dy = d[:, 1]
     lo = np.minimum(a[:, 1], a[:, 1] + dy)
     hi = np.maximum(a[:, 1], a[:, 1] + dy)
-    klo = np.ceil(lo - y0 - 1e-12).astype(int)
-    khi = np.floor(hi - y0 + 1e-12).astype(int)
+    klo = np.ceil(lo - y0).astype(int)
+    khi = np.floor(hi - y0).astype(int)
     counts = np.where(dy != 0.0, np.maximum(khi - klo + 1, 0), 0)
     seg = np.repeat(np.arange(a.shape[0]), counts)
     kk = klo[seg] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     t = (y0 + kk - a[seg, 1]) / dy[seg]
-    up = dy[seg] > 0
-    ok = np.where(up, (t >= 0.0) & (t < 1.0), (t > 0.0) & (t <= 1.0))
-    return a[seg[ok], 0] + t[ok] * d[seg[ok], 0], np.where(up[ok], 1.0, -1.0)
+    ok = (t > 0.0) & (t < 1.0)
+    return a[seg[ok], 0] + t[ok] * d[seg[ok], 0], np.sign(dy[seg[ok]])
+
+
+def _off_markers(v, coords, step):
+    """v moved in steps of `step` until it is 1e-12 off every coordinate mod 1."""
+    while np.min(np.abs(((coords - v + 0.5) % 1.0) - 0.5)) < 1e-12:
+        v += step
+    return v
 
 
 def _phase_area(curve, y0=0.34078604706783, x0=0.21370586327156):
@@ -481,39 +485,55 @@ def _phase_area(curve, y0=0.34078604706783, x0=0.21370586327156):
     and the step w_x floor(y_1 - y0) of its first marker, and from the base
     row chi_E(., y0) only the integers floor(x_c - x0) at the polygon's row
     crossings c; the terms y0 w_x - x0 w_y cancel over a null-homologous
-    curve.  The row y0 is nudged off the marker heights.
+    curve.  The coverage count L, zero at (x0, y0) and rising by one across
+    the curve from its right to its left side, gives chi_E(x0, y0) = -min L:
+    the column x0 and the row y0 meet every winding loop, and a row through
+    its steepest segment every other loop they miss, so both sides of every
+    loop are seen, and the orientations are consistent exactly when the seen
+    L span two integers.  Every line misses the marker coordinates.
     """
     a, b = _all_segments(curve)
-    ys_all = np.concatenate([a[:, 1], b[:, 1]])
-    while np.min(np.abs(((ys_all - y0 + 0.5) % 1.0) - 0.5)) < 1e-12:
-        y0 += 0.0123456789
-    x, s = _row_crossings(a, b - a, y0)
-    area = float(signed_distance_points(curve, np.array([[x0, y0]]))[0] < 0)
-    area -= float(np.sum(s * np.floor(x - x0)))
+    d = b - a
+    x0 = _off_markers(x0, a[:, 0], 0.0123456789)
+    yc, sc = _row_crossings(a[:, ::-1], d[:, ::-1], x0)
+    ys = np.concatenate([a[:, 1], yc])  # rows miss the column's crossings too
+    y0 = _off_markers(y0, ys, 0.0123456789)
+    uc = (yc - y0) % 1.0
+    x, s = _row_crossings(a, d, y0)
+    seen = [np.zeros(1), np.cumsum(sc[np.argsort(uc)]), -np.cumsum(s[np.argsort((x - x0) % 1.0)])]
+    for lp, sl in zip(curve.components, curve.loop_slices()):
+        h = lp.lift[:, 1]
+        if np.any(lp.winding) or np.ceil(h.min() - y0) <= h.max() - y0:
+            continue  # the column or the row y0 meets it
+        j = sl.start + int(np.argmax(np.abs(d[sl, 1])))
+        if d[j, 1] == 0.0:
+            raise TopologyError("closed loop without vertical extent")
+        y = _off_markers(a[j, 1] + 0.5 * d[j, 1], ys, 1e-3 * d[j, 1])
+        xr, sr = _row_crossings(a, d, y)
+        base = np.sum(sc[uc < (y - y0) % 1.0])
+        seen.append(base - np.cumsum(sr[np.argsort((xr - x0) % 1.0)]))
+    seen = np.concatenate(seen)
+    lo, hi = int(seen.min()), int(seen.max())
+    if hi - lo != 1:
+        raise OrientationError(
+            f"loop orientations inconsistent: the coverage count spans {lo}..{hi}, not two values"
+        )
+    area = -lo - float(np.sum(s * np.floor(x - x0)))
     for lp in curve.components:
         area += lp.winding[0] * float(np.floor(lp.lift[0, 1] - y0)) + lp._line_integral()
     return area
 
 
-def enclosed_area(curve, check=False):
+def enclosed_area(curve):
     """Area of the phase E in (0,1), winding-aware and spectrally accurate.
 
     One spectral line integral per loop plus integers read off one row of
-    the torus (see _phase_area).  The area is computed once per curve; the
-    range check and, with `check`, the orientation probe run at every call.
+    the torus; the coverage count of _phase_area checks the orientations.
+    The area is computed once per curve; the range check runs at every call.
     """
     area = curve._area
     if not 0.0 < area < 1.0:
         raise OrientationError(f"computed phase area {area:.6f} not in (0,1)")
-    if check:
-        xs = (np.arange(AREA_PROBES) + 0.5) / AREA_PROBES
-        px, py = np.meshgrid(xs, xs, indexing="ij")
-        probes = np.column_stack([px.ravel(), py.ravel()])
-        est = float(np.mean(signed_distance_points(curve, probes) < 0.0))
-        if abs(area - est) > 0.05:
-            raise OrientationError(
-                f"loop orientations inconsistent: area {area:.4f} vs sampled {est:.4f}"
-            )
     return area
 
 
@@ -598,7 +618,10 @@ def height_function(curve, reference):
         off = np.round(np.mean(lp_c.lift, axis=0) - np.mean(base, axis=0))
         clift = lp_c.lift - off
         # nearest curve marker: |c|^2 - 2 b.c differs from |b - c|^2 by |b|^2
-        jstar = np.argmin(np.sum(clift**2, axis=1) - 2.0 * base @ clift.T, axis=1)
+        d2 = base @ clift.T
+        d2 *= -2.0
+        d2 += np.sum(clift**2, axis=1)
+        jstar = np.argmin(d2, axis=1)
         alpha = 2.0 * np.pi * jstar / lp_c.n
         t = np.einsum("id,id->i", clift[jstar] - base, nu)
         # unfiltered half spectrum of the offset lift

@@ -1,11 +1,12 @@
 """Torus curve representation: resampling, curvature, areas, heights."""
 
+import inspect
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -289,7 +290,7 @@ def test_enclosed_area_computed_once_per_curve(monkeypatch):
     monkeypatch.setattr(geometry, "_phase_area", counting)
     c = PeriodicCurve(loops, check=False)
     first = enclosed_area(c)
-    assert enclosed_area(c, check=True) == first
+    assert enclosed_area(c) == first
     assert len(calls) == 1
     # a displaced curve is a new curve with its own area
     shifted = geometry.displace(c, np.full((c.n_markers, 2), 0.01))
@@ -566,17 +567,97 @@ def test_enclosed_area_matches_reference_on_strips(curve, i, j, r, complement):
         [(0.1, (0.25, 0.5), "inside"), (0.15, (0.7, 0.5), "outside")],
         # nested disks traveled the same way
         [(0.3, (0.5, 0.5), "inside"), (0.1, (0.5, 0.5), "inside")],
+        # small nested same-way disks, whose areas the 24^2 sampled probe missed
+        [(0.05, (0.5, 0.5), "inside"), (0.02, (0.5, 0.5), "inside")],
+        [(0.1, (0.5, 0.5), "inside"), (0.05, (0.5, 0.5), "inside")],
     ],
-    ids=["ccw_beside_cw", "nested_same_way"],
+    ids=["ccw_beside_cw", "nested_same_way", "nested_0.05_0.02", "nested_0.1_0.05"],
 )
 def test_inconsistent_orientation_raises_on_the_reference_area(loops):
     c = PeriodicCurve(
         [shapes.circle(r, center, n=64, phase=ph).components[0] for r, center, ph in loops],
         check=False,
     )
-    assert abs(c._area - area_scanline_lens(c)) <= 1e-13
     with pytest.raises(OrientationError):
-        enclosed_area(c, check=True)
+        enclosed_area(c)
+
+
+# the base point (x0, y0) of the phase area's column and row
+X0, Y0 = (inspect.signature(geometry._phase_area).parameters[k].default for k in ("x0", "y0"))
+
+
+def complement(curve):
+    return PeriodicCurve([MarkerLoop(lp.lift[::-1], -lp.winding) for lp in curve.components])
+
+
+@pytest.mark.parametrize("angle", [0, 45, 90])
+@pytest.mark.parametrize("offset", [X0, Y0, Y0 - X0], ids=["x0", "y0", "y0-x0"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_strip_through_the_base_point_has_its_area(angle, offset, n):
+    # an interface through (x0, y0) or along a marker coordinate of it
+    c = shapes.strip(0.3, offset=offset, angle=angle, n=n)
+    assert enclosed_area(c) == pytest.approx(0.3, abs=1e-12)
+    assert enclosed_area(complement(c)) == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("r", [0.1, 0.25])
+def test_circle_through_the_base_point_has_its_area(side, r):
+    # a marker of the circle sits on (x0, y0), at the circle's left or right end
+    c = shapes.circle(r, center=(X0 + side * r, Y0), n=64)
+    assert enclosed_area(c) == pytest.approx(np.pi * r * r, abs=1e-12)
+    assert enclosed_area(complement(c)) == pytest.approx(1.0 - np.pi * r * r, abs=1e-12)
+
+
+def test_flat_closed_loop_is_refused():
+    # a closed loop at one height, traveled out and back, has no steep segment
+    # for a row to cross, and its collinear segments never cross each other
+    x = np.concatenate([np.linspace(0.1, 0.8, 16), np.linspace(0.75, 0.15, 15)])
+    loop = MarkerLoop(np.column_stack([x, np.full(x.size, 0.5)]), (0, 0))
+    with pytest.raises(TopologyError, match="vertical extent"):
+        PeriodicCurve([loop])
+
+
+def disk_pair(r1, c1, o1, r2, c2, o2, shift):
+    phase = {1: "inside", -1: "outside"}
+    loops = [
+        MarkerLoop(shapes.circle(r, center, n=64, phase=phase[o]).components[0].lift + s, (0, 0))
+        for r, center, o, s in ((r1, c1, o1, shift[:2]), (r2, c2, o2, shift[2:]))
+    ]
+    return PeriodicCurve(loops, check=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans(),
+    st.floats(0.03, 0.25),
+    st.floats(0.2, 0.8),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+    st.tuples(*[st.integers(-2, 2)] * 4),
+)
+def test_orientation_check_matches_the_disk_oracle(nested, r1, q, c1, u, o1, o2, shift):
+    # two disjoint disks bound a phase exactly when disks apart travel the
+    # same way, or nested disks opposite ways
+    if nested:
+        r2 = q * (r1 - 0.02)
+        room = r1 - r2 - 0.02
+        c2 = (c1[0] + u[0] * room, c1[1] + u[1] * room)
+        area, consistent = np.pi * (r1 * r1 - r2 * r2), o1 != o2
+    else:
+        r2 = q * 0.25
+        assume(np.hypot(*u) > r1 + r2 + 0.02)
+        c2 = (c1[0] + u[0], c1[1] + u[1])
+        area, consistent = np.pi * (r1 * r1 + r2 * r2), o1 == o2
+    c = disk_pair(r1, c1, o1, r2, c2, o2, np.array(shift, dtype=float))
+    if not consistent:
+        with pytest.raises(OrientationError):
+            c.validate()
+        return
+    c.validate()
+    assert enclosed_area(c) == pytest.approx(area if o1 == 1 else 1.0 - area, abs=1e-12)
 
 
 def test_markers_fold_into_unit_cell():
@@ -696,6 +777,6 @@ def test_validate_beyond_4096_segments():
     lower = MarkerLoop(np.column_stack([t, np.full(2100, 0.2)]), (1, 0))
     upper = MarkerLoop(np.column_stack([1.0 - t, np.full(2100, 0.6)]), (-1, 0))
     curve = PeriodicCurve([lower, upper], check=False)
-    curve.validate(probe_area=False)
+    curve.validate()
     with pytest.raises(ResolutionError):
         check_intersections_all_pairs(curve)
