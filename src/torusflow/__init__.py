@@ -28,7 +28,6 @@ from .geometry import (
     height_function,
     perimeter,
     resample_equal_arclength,
-    signed_distance_grid,
     surface_laplacian,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "height_function",
     "perimeter",
     "resample_equal_arclength",
-    "signed_distance_grid",
     "surface_laplacian",
 ]
 

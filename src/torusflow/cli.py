@@ -20,7 +20,6 @@ from . import flow, svgplot, variation
 from .config import (
     build_flow_state,
     build_geometry,
-    build_grid_n,
     build_monitor,
     config_hash,
     load_config,
@@ -82,7 +81,6 @@ def cmd_simulate(cp):
         try:
             c0, r2 = diag.fit_exponential(tarr[sel], darr[sel])
             fit = {"c0": c0, "r2": r2, "window": [float(tarr[sel][0]), float(tarr[-1])]}
-            result.trace.fitted = fit
         except ValueError:
             fit = {}
     summary = {
@@ -122,7 +120,6 @@ def cmd_stability(cp):
     curve, _ = build_geometry(cp)
     gammas = _getfloats(cp, "stability", "gammas")
     n_modes = _getint_at_least(cp, "stability", "n_modes", 1)
-    grid_n = build_grid_n(cp)
     k_max = _getint(cp, "stability", "k_max")
     if k_max is not None and not 0 <= k_max <= variation.LAMELLA_K_MAX:
         raise ConfigError(f"stability.k_max must lie in 0..{variation.LAMELLA_K_MAX}")
@@ -137,7 +134,7 @@ def cmd_stability(cp):
     for g in gammas:
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
-            mat = variation.assemble_second_variation(curve, g, n_modes=n_modes, grid_n=grid_n)
+            mat = variation.assemble_second_variation(curve, g, n_modes=n_modes)
             rep = variation.spectrum(mat)
         d = rep.to_dict()
         if mat.warning:
@@ -169,7 +166,6 @@ def cmd_stability(cp):
                     h=lamella_h,
                     n_per_loop=n_per_loop,
                     n_modes=n_modes,
-                    grid_n=grid_n,
                     cache=cache,
                 )
         with open(os.path.join(out, f"threshold_{h}.json"), "w") as fh:
@@ -198,9 +194,7 @@ def cmd_verify(cp):
         st = flow.step(st, use_dt)
         flow._record(st, trace, None)
     first = diag.verify_first_identity(trace)
-    second_ms = diag.verify_second_identity_ms(
-        curve, gamma=state.gamma, grid_n=state.params.grid_n
-    )
+    second_ms = diag.verify_second_identity_ms(curve, gamma=state.gamma)
     second_sd = diag.verify_second_identity_sd(curve)
     report = {
         "config_hash": h,

@@ -267,14 +267,6 @@ def build_monitor(cp, curve, base):
     return StoppingMonitor(eps0=eps0, delta0=delta0, reference=reference)
 
 
-def build_grid_n(cp):
-    """grid.n, checked against the rasterization's smallest grid (128)."""
-    grid_n = _getint(cp, "grid", "n")
-    if grid_n is None or grid_n < 128 or grid_n & (grid_n - 1):
-        raise ConfigError("grid.n must be a power of two >= 128")
-    return grid_n
-
-
 def build_flow_state(cp, curve):
     from .flow import FlowParams, make_state
 
@@ -290,5 +282,5 @@ def build_flow_state(cp, curve):
     dt = _getfloat(cp, "flow", "dt")
     if dt is not None and dt <= 0:
         raise ConfigError("flow.dt must be positive when set")
-    params = FlowParams(dt=dt, grid_n=build_grid_n(cp))
+    params = FlowParams(dt=dt)
     return make_state(curve, kind, gamma=gamma, params=params)

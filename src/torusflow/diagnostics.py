@@ -1,4 +1,4 @@
-"""The two energy identities, distances, decay fits and Sobolev norms.
+"""The two energy identities, decay fits and Sobolev norms.
 
 Along either flow the first identity says dJ/dt equals minus the dissipation
 (int |Dw|^2 for the nonlocal flow, int |D_tau H|^2 for surface diffusion); the
@@ -13,10 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fields import _crossing_fill
 from .flow import Evaluation
-from .geometry import (apply_symbol, integrate_ds, resample_equal_arclength,
-                       signed_distance_grid, spectral_factor)
+from .geometry import apply_symbol, integrate_ds, resample_equal_arclength, spectral_factor
 from .shapes import graph_over
 from .variation import second_variation_direct
 
@@ -89,7 +87,7 @@ def _second_identity(ev, rhs, terms, dt, fd_scale):
     if dt is None:
         dt = fd_scale * max(D0, floor) / max(abs(rhs), floor / fd_scale)
     dp, dm = (
-        Evaluation(_advance(ev.curve, ev.V, s * dt), ev.flow_kind, ev.gamma, ev.grid_n).dissipation
+        Evaluation(_advance(ev.curve, ev.V, s * dt), ev.flow_kind, ev.gamma).dissipation
         for s in (1.0, -1.0)
     )
     lhs = 0.5 * (dp - dm) / (2.0 * dt)
@@ -106,9 +104,9 @@ def _second_identity(ev, rhs, terms, dt, fd_scale):
     )
 
 
-def verify_second_identity_ms(curve, gamma=0.0, dt=None, grid_n=256, fd_scale=5e-3):
+def verify_second_identity_ms(curve, gamma=0.0, dt=None, fd_scale=5e-3):
     """Check d/dt (1/2 int |Dw|^2) = -Q[[d_nu w]] + (1/2) int (d_nu w+ + d_nu w-)[d_nu w]^2."""
-    ev = Evaluation(curve, "ms", gamma, grid_n)
+    ev = Evaluation(curve, "ms", gamma)
     sol, jump = ev.jump, ev.V
     q2 = second_variation_direct(ev, jump)
     cubic = 0.5 * integrate_ds(curve, (sol.one_sided_plus + sol.one_sided_minus) * jump**2)
@@ -127,21 +125,6 @@ def verify_second_identity_sd(curve, dt=None, fd_scale=5e-3):
     hterm = 0.5 * integrate_ds(curve, kdk2 * V)
     terms = {"second_variation": -q2, "second_fundamental": bterm, "curvature_cubic": hterm}
     return _second_identity(ev, -q2 + bterm + hterm, terms, dt, fd_scale)
-
-
-def asymmetry_distance(curve, reference, grid_n=256, d_ref=None):
-    """(D, |E Delta F|): distance-weighted and plain symmetric-difference areas.
-
-    D integrates |d_F| over the symmetric difference on the grid; d_ref may
-    carry a precomputed signed-distance field of the reference.
-    """
-    if d_ref is None:
-        d_ref = signed_distance_grid(reference, grid_n)
-    chi_e = _crossing_fill(curve, grid_n) > 0
-    chi_f = _crossing_fill(reference, grid_n) > 0
-    mask = chi_e != chi_f
-    D = float(np.mean(np.abs(d_ref) * mask))
-    return D, float(np.mean(mask))
 
 
 def fit_exponential(t, values, window=None):

@@ -2,7 +2,9 @@
 
 Grid convention: a field is an n x n float array sampling the nodes (i/n, j/n)
 with the FIRST index along x.  The module is deliberately free of the coupling
-constant gamma so potentials can be reused across gamma sweeps.
+constant gamma so potentials can be reused across gamma sweeps.  It is the only
+grid code of the package and no other module imports it: the tests' grid oracle
+for v_E, the signed distance grid and the asymmetry distance.
 """
 
 from __future__ import annotations
@@ -135,6 +137,33 @@ def _crossing_fill(curve, n):
     if np.any(sign == 0):
         raise ResolutionError("rasterization could not resolve the phase sign")
     return sign
+
+
+def signed_distance_grid(curve, grid_n):
+    """Signed distance field d_E on the uniform grid (negative inside E), as an
+    n x n array with the first index along x."""
+    if grid_n < 64:
+        raise ResolutionError("grid_n must be >= 64")
+    xs = np.arange(grid_n) / grid_n
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    d = signed_distance_points(curve, pts)
+    return d.reshape(grid_n, grid_n)
+
+
+def asymmetry_distance(curve, reference, grid_n=256, d_ref=None):
+    """(D, |E Delta F|): distance-weighted and plain symmetric-difference areas.
+
+    D integrates |d_F| over the symmetric difference on the grid; d_ref may
+    carry a precomputed signed-distance field of the reference.
+    """
+    if d_ref is None:
+        d_ref = signed_distance_grid(reference, grid_n)
+    chi_e = _crossing_fill(curve, grid_n) > 0
+    chi_f = _crossing_fill(reference, grid_n) > 0
+    mask = chi_e != chi_f
+    D = float(np.mean(np.abs(d_ref) * mask))
+    return D, float(np.mean(mask))
 
 
 def _band_distances(curve, n, cutoff):

@@ -61,7 +61,6 @@ class EnergyTrace:
     """Time series of energies and diagnostics along one run."""
 
     rows: list = field(default_factory=list)
-    fitted: dict | None = None
 
     def append_row(self, kw):
         row = {k: kw.get(k, np.nan) for k in TRACE_COLUMNS}
@@ -103,7 +102,6 @@ class EnergyTrace:
 @dataclass
 class FlowParams:
     dt: float | None = None  # step cap; the smallest marker spacing when unset
-    grid_n: int = 256  # accepted for callers; the flow reads no grid
 
 
 @dataclass
@@ -170,15 +168,14 @@ class Evaluation:
     D = int |d_s H|^2 and J = perimeter.  No grid is involved: the trace of v_E
     comes from the single layer and one biharmonic-Green row per loop, and the
     nonlocal energy, read only at records, from the biharmonic Green function
-    (`bie`).  `grid_n` is kept for callers and not read.  `variation` and
-    `diagnostics` read the criticality residual and d_nu v_E.
+    (`bie`).  `variation` and `diagnostics` read the criticality residual and
+    d_nu v_E.
     """
 
-    def __init__(self, curve, flow_kind, gamma=0.0, grid_n=256):
+    def __init__(self, curve, flow_kind, gamma=0.0):
         self.curve = curve
         self.flow_kind = flow_kind
         self.gamma = gamma
-        self.grid_n = grid_n
 
     @cached_property
     def kappa(self):
@@ -250,9 +247,7 @@ class Evaluation:
 
 def _evaluate(state, curve=None):
     """The flow law of the state at `curve` (defaults to the state's curve)."""
-    return Evaluation(
-        state.curve if curve is None else curve, state.flow_kind, state.gamma, state.params.grid_n
-    )
+    return Evaluation(state.curve if curve is None else curve, state.flow_kind, state.gamma)
 
 
 def adaptive_dt(state):

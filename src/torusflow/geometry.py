@@ -285,8 +285,6 @@ class PeriodicCurve:
     def validate(self):
         total_winding = np.zeros(2, dtype=int)
         for lp in self.components:
-            if lp.n < MIN_MARKERS:
-                raise ResolutionError("loop with fewer than 16 markers")
             w = lp.winding
             if np.any(w != 0) and not set(np.abs(w)) <= {0, 1}:
                 raise TopologyError(f"unsupported winding {w}")
@@ -580,18 +578,6 @@ def signed_distance_points(curve, points):
         # cross > 0: point lies left of travel, i.e. inside E, where d is negative
         out[lo : lo + DISTANCE_CHUNK] = np.sqrt(d2[rows, j]) * np.where(cross > 0, -1.0, 1.0)
     return out
-
-
-def signed_distance_grid(curve, grid_n):
-    """Signed distance field d_E on the uniform grid (negative inside E), as an
-    n x n array with the first index along x."""
-    if grid_n < 64:
-        raise ResolutionError("grid_n must be >= 64")
-    xs = np.arange(grid_n) / grid_n
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    d = signed_distance_points(curve, pts)
-    return d.reshape(grid_n, grid_n)
 
 
 def tubular_radius(reference):

@@ -32,9 +32,9 @@ POINCARE_FLOOR = 1e-24  # int (H - Hbar)^2 below this counts as zero
 LAMELLA_K_MAX = 16  # largest strip count lamella_threshold scans (desk scale)
 
 
-def criticality_residual(curve, gamma, grid_n=256):
+def criticality_residual(curve, gamma):
     """(residual, lambda) of H + 4 gamma v_E = lambda, lambda the arclength mean."""
-    return Evaluation(curve, "ms", gamma, grid_n).criticality
+    return Evaluation(curve, "ms", gamma).criticality
 
 
 def translation_basis(curve):
@@ -42,7 +42,7 @@ def translation_basis(curve):
 
     Diagonalizes the 2x2 Gram matrix of (e_x.nu, e_y.nu); directions with
     norm below TRANSLATION_REL_TOL * perimeter are excluded.
-    Returns (basis functions as rows, index list, gram condition number).
+    Returns (basis functions as rows, index list).
     """
     nu = curve.normals()
     w = curve.arclength_weights()
@@ -51,8 +51,7 @@ def translation_basis(curve):
     per = perimeter(curve)
     norms = np.sqrt(np.maximum(evals, 0.0))
     index = [i for i in range(2) if norms[i] > TRANSLATION_REL_TOL * per]
-    cond = float(evals[-1] / evals[0]) if evals[0] > 0 else np.inf
-    return (nu @ evecs[:, index] / norms[index]).T, index, cond
+    return (nu @ evecs[:, index] / norms[index]).T, index
 
 
 def min_translation_distance(phi, curve):
@@ -62,7 +61,7 @@ def min_translation_distance(phi, curve):
     norm = np.sqrt(float(np.sum(w * vals**2)))
     if norm == 0.0:
         raise ValueError("translation distance of the zero function")
-    basis, _, _ = translation_basis(curve)
+    basis, _ = translation_basis(curve)
     proj = vals - (basis @ (w * vals)) @ basis
     return float(np.sqrt(max(np.sum(w * proj**2), 0.0)) / norm)
 
@@ -128,9 +127,9 @@ def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256):
     v_E both go through its single layer, so the two gamma terms cancel on
     translation traces to quadrature accuracy; the criticality residual's v_E
     comes from the same single layer and one biharmonic-Green row per loop.
-    `grid_n` is kept for callers and not read.
+    `grid_n` is accepted for the benchmark's calls and not read.
     """
-    ev = Evaluation(curve, "ms", gamma, grid_n)
+    ev = Evaluation(curve, "ms", gamma)
     B, dB, labels, blocks = _mode_basis(curve, n_modes)
     w = curve.arclength_weights()
     res, lam = ev.criticality
@@ -225,7 +224,7 @@ def spectrum(matrix):
     coeffs = np.vstack([np.zeros(evals.size), evecs]) - np.outer(u, u[1:] @ evecs)
     funcs = np.vstack([matrix.basis[sl, cs] @ coeffs[cs] for sl, cs in matrix.blocks])
     w = matrix.curve.arclength_weights()
-    tbasis, index, _ = translation_basis(matrix.curve)
+    tbasis, index = translation_basis(matrix.curve)
     nrm = w @ funcs**2
     proj = np.sum(((w * tbasis) @ funcs) ** 2, axis=0)
     overlaps = np.divide(proj, nrm, out=np.zeros_like(nrm), where=nrm != 0)
@@ -285,15 +284,7 @@ def geometric_poincare_ratio(curve):
     return num / den
 
 
-def lamella_threshold(
-    gamma,
-    k_max=8,
-    h=0.5,
-    n_per_loop=64,
-    n_modes=6,
-    grid_n=256,
-    cache=None,
-):
+def lamella_threshold(gamma, k_max=8, h=0.5, n_per_loop=64, n_modes=6, cache=None):
     """Smallest strip count k in 1..k_max whose lamella is strictly stable, else None.
 
     The four assembled matrices are gamma-independent, so a dict passed as
@@ -302,11 +293,11 @@ def lamella_threshold(
     if k_max > LAMELLA_K_MAX:
         raise ValueError("k_max beyond desk scale")
     for k in range(1, k_max + 1):
-        key = (k, h, n_per_loop, n_modes, grid_n)
+        key = (k, h, n_per_loop, n_modes)
         mat = cache.get(key) if cache is not None else None
         if mat is None:
             curve = shapes.lamella(k, h=h, n_per_loop=n_per_loop)
-            mat = assemble_second_variation(curve, gamma, n_modes=n_modes, grid_n=grid_n)
+            mat = assemble_second_variation(curve, gamma, n_modes=n_modes)
             if cache is not None:
                 cache[key] = mat
         mat.gamma = gamma

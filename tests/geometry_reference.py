@@ -230,7 +230,13 @@ def _polygon_area_scanline(curve, y0=0.34078604706783, x0=0.21370586327156):
     ys_all = np.concatenate([a[:, 1], b[:, 1]])
     while np.min(np.abs(((ys_all - y0 + 0.5) % 1.0) - 0.5)) < 1e-12:
         y0 += 0.0123456789
-    corner_inside = float(signed_distance_points(curve, np.array([[x0, y0]]))[0] < 0)
+    # the side of the base point is read off the nearest segment, so the point
+    # must not lie on the polygon
+    corner = signed_distance_points(curve, np.array([[x0, y0]]))[0]
+    while abs(corner) < 1e-12:
+        x0 += 0.0123456789
+        corner = signed_distance_points(curve, np.array([[x0, y0]]))[0]
+    corner_inside = float(corner < 0)
     # row measure: half-open crossing rule, one count per vertex pass
     seg, t = _wrap_knots(a, d, y0)
     measure = corner_inside

@@ -142,7 +142,7 @@ def grid_nonlocal_parts(curve, basis, grid_n=256, delta_width=2.0):
 
 def assemble_second_variation_grid(curve, gamma, n_modes=8, grid_n=256, delta_width=2.0):
     """The assembled form with both gamma parts replaced by their grid values."""
-    mat = assemble_second_variation(curve, gamma, n_modes=n_modes, grid_n=grid_n)
+    mat = assemble_second_variation(curve, gamma, n_modes=n_modes)
     nonlocal_part, pot = grid_nonlocal_parts(curve, mat.basis, grid_n, delta_width)
     return replace(mat, nonlocal_kernel_part=nonlocal_part, potential_part=pot)
 

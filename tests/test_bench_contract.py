@@ -34,3 +34,11 @@ def test_trace_target_resolves(name, owner, attr):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_setup_builds(name):
     WORKLOADS[name]().setup(0)
+
+
+def test_stability_verdict_runs_as_the_benchmark_calls_it():
+    # the scan reads grid.n and passes it to assemble_second_variation as
+    # grid_n, which the package accepts and does not read
+    work = WORKLOADS["stability_scan"]()
+    work.setup(0)
+    assert work.verdict(1, 10.0) == "strictly_stable"

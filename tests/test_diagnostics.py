@@ -11,13 +11,13 @@ import pytest
 import oracles
 from torusflow import bie, flow, shapes
 from torusflow.diagnostics import (
-    asymmetry_distance,
     discrete_sobolev_norm,
     fit_exponential,
     verify_first_identity,
     verify_second_identity_ms,
     verify_second_identity_sd,
 )
+from torusflow.fields import asymmetry_distance
 from torusflow.flow import EnergyTrace, Evaluation
 
 
@@ -41,23 +41,17 @@ def _fresh_interpreter(code):
 
 
 def test_layering_flow_below_diagnostics():
-    # geometry <- fields, bie <- flow <- variation <- diagnostics: the
-    # diagnostics import on their own, the flow pulls in neither variation nor
-    # diagnostics, and neither the flow, the variation code, the single layer
-    # nor the signed distance grid needs fields
+    # geometry <- bie <- flow <- variation <- diagnostics <- cli, and
+    # geometry <- fields with nothing above it: the diagnostics import on their
+    # own, the flow pulls in neither variation nor diagnostics, and no module
+    # of the package loads the grid module fields
     assert _fresh_interpreter("import torusflow.diagnostics; print('ok')") == "ok"
     code = (
         "import sys, torusflow.flow; "
         "print([m for m in ('torusflow.variation', 'torusflow.diagnostics') if m in sys.modules])"
     )
     assert _fresh_interpreter(code) == "[]"
-    code = (
-        "import sys; from torusflow import geometry, shapes; "
-        "geometry.signed_distance_grid(shapes.circle(0.2, n=64), 64); "
-        "print('torusflow.fields' in sys.modules)"
-    )
-    assert _fresh_interpreter(code) == "False"
-    for module in ("bie", "flow", "variation"):
+    for module in ("bie", "flow", "variation", "diagnostics", "cli"):
         code = f"import sys, torusflow.{module}; print('torusflow.fields' in sys.modules)"
         assert _fresh_interpreter(code) == "False", module
 

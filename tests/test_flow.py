@@ -166,7 +166,7 @@ def test_run_conservation_and_monotonicity_rk4():
 
 def test_run_ms_gamma_positive_monotone():
     p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
-    params = FlowParams(dt=2e-5, grid_n=128)
+    params = FlowParams(dt=2e-5)
     st = make_state(p, "ms", gamma=1.0, params=params)
     res = run(st, t_end=40 * 2e-5)
     J = res.trace.column("J")
@@ -183,7 +183,7 @@ def test_nonlocal_energy_only_at_records(monkeypatch):
     energy = bie_mod.potential_energy
     monkeypatch.setattr(bie_mod, "potential_energy", lambda c: calls.append(1) or energy(c))
     p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
-    params = FlowParams(dt=2e-5, grid_n=128)
+    params = FlowParams(dt=2e-5)
     res = run(make_state(p, "ms", gamma=1.0, params=params), t_end=2 * 2e-5)
     assert res.event == "completed"
     assert len(res.trace) == 3
@@ -204,7 +204,7 @@ def test_evaluation_computes_each_quantity_once(monkeypatch):
     strip = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
     for order in (("nonlocal_energy", "dissipation"), ("dissipation", "nonlocal_energy")):
         potentials.clear()
-        ev = Evaluation(strip, "ms", gamma=1.0, grid_n=128)
+        ev = Evaluation(strip, "ms", gamma=1.0)
         for name in order + order:
             getattr(ev, name)
         assert len(potentials) == 1

@@ -18,6 +18,7 @@ from geometry_reference import (
 )
 from torusflow import geometry, shapes
 from torusflow.errors import GraphFailure, OrientationError, ResolutionError, TopologyError
+from torusflow.fields import signed_distance_grid
 from torusflow.flow import FlowParams, StoppingMonitor, make_state, run
 from torusflow.geometry import (
     RESAMPLE_TAIL_MAX,
@@ -32,7 +33,6 @@ from torusflow.geometry import (
     perimeter,
     read_snapshot,
     resample_equal_arclength,
-    signed_distance_grid,
     signed_distance_points,
     spectral_factor,
     surface_laplacian,
@@ -550,8 +550,14 @@ def test_enclosed_area_matches_scanline_lens_reference(spec, i, j, r, complement
 
 @pytest.mark.parametrize(
     "curve",
-    [shapes.strip(0.3, offset=0.6, angle=45, n=64), shapes.perturbed_lamella(2, 0.01, 3, h=0.4)],
-    ids=["strip45", "perturbed_lamella"],
+    [
+        shapes.strip(0.3, offset=0.6, angle=45, n=64),
+        shapes.perturbed_lamella(2, 0.01, 3, h=0.4),
+        # strips whose interface passes through the reference's base point (x0, y0)
+        shapes.strip(0.3, offset=0.21370586327156, angle=90, n=64),
+        shapes.strip(0.3, offset=0.34078604706783 - 0.21370586327156, angle=45, n=64),
+    ],
+    ids=["strip45", "perturbed_lamella", "strip90_through_base", "strip45_through_base"],
 )
 @pytest.mark.parametrize("i, j, r", [(0, 0, 0), (2, -3, 5), (-1, 1, 17)])
 @pytest.mark.parametrize("complement", [False, True])

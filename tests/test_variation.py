@@ -199,14 +199,14 @@ def test_quadratic_form_random_phi_consistency():
 def test_translation_kernel(circle_spectrum):
     c, _, _ = circle_spectrum
     ev = Evaluation(c, "ms")
-    tb, _, _ = translation_basis(c)
+    tb, _ = translation_basis(c)
     for b in tb:
         q = second_variation_direct(ev, b)
         db = arclength_derivative(c, b)
         h1 = integrate_ds(c, b * b + db * db)
         assert abs(q) <= 1e-6 * h1
     st = shapes.strip(0.3, n=128)
-    tb2, _, _ = translation_basis(st)
+    tb2, _ = translation_basis(st)
     ev2 = Evaluation(st, "ms", 1.0)
     for b in tb2:
         q = second_variation_direct(ev2, b)

@@ -57,16 +57,15 @@ def mode_basis_dense(curve, n_modes):
     return np.array(cols).T, np.array(dcols).T, labels
 
 
-def assemble_second_variation_dense(curve, gamma, n_modes=8, grid_n=256):
+def assemble_second_variation_dense(curve, gamma, n_modes=8):
     """Assemble the four matrices of the quadratic form over the Fourier basis.
 
     All curve data come from one MS `Evaluation`.  The nonlocal block and d_nu
     v_E both go through its single layer, so the two gamma terms cancel on
     translation traces to quadrature accuracy; the criticality residual's v_E
     comes from the same single layer and one biharmonic-Green row per loop.
-    `grid_n` is kept for callers and not read.
     """
-    ev = Evaluation(curve, "ms", gamma, grid_n)
+    ev = Evaluation(curve, "ms", gamma)
     B, dB, labels = mode_basis_dense(curve, n_modes)
     w = curve.arclength_weights()
     local = dB.T @ (w[:, None] * dB)
@@ -116,7 +115,7 @@ def spectrum_dense(matrix):
     funcs = matrix.basis @ (Z @ evecs)
     curve = matrix.curve
     w = curve.arclength_weights()
-    tbasis, index, _ = translation_basis(curve)
+    tbasis, index = translation_basis(curve)
     overlaps = np.zeros(evals.shape[0])
     for i in range(evals.shape[0]):
         f = funcs[:, i]
