@@ -66,38 +66,59 @@ def _separation(x, y):
     return dx, dy, s2
 
 
-def _modes(dx, dy, terms, sines=False):
+def _modes(c1, dy, terms=_GREEN_SERIES_TERMS, s1=None, scratch=None):
     """Yield (C_m, cos 2 pi m dx, sin 2 pi m dx, e^(-2 pi m (1+|dy|)), e^(-2 pi m (1-|dy|)))
-    for m = 1..terms.
+    for m = 1..terms, from c1 = cos 2 pi dx and, for the sines, s1 = sin 2 pi dx.
 
-    One cos (and sin) and two exp in all: the harmonics follow the Chebyshev
-    recurrences c_(m+1) = 2 c_1 c_m - c_(m-1) (first kind for cos, second kind
-    for sin) and the exponentials are powers of their m = 1 values.  The sines
-    are None unless requested.
+    Two exp in all: the harmonics follow the Chebyshev recurrences c_(m+1) =
+    2 c_1 c_m - c_(m-1) (first kind for cos, second kind for sin) and the
+    exponentials are powers of their m = 1 values.  All run in place in
+    `scratch`, 8 arrays shaped like dy (10 with the sines), so a yielded array
+    holds only until the next one; scratch[0] is free between yields.
     """
-    u = np.abs(dy)
-    c1 = np.cos(2.0 * np.pi * dx)
-    s1 = np.sin(2.0 * np.pi * dx) if sines else None
-    p1 = np.exp(-2.0 * np.pi * (1.0 + u))
-    q1 = np.exp(-2.0 * np.pi * (1.0 - u))
-    two_c1 = 2.0 * c1
-    c_prev, c, s_prev, s, p, q = 1.0, c1, 0.0, s1, p1, q1
+    sines = s1 is not None
+    if scratch is None:
+        scratch = np.empty((8 + 2 * sines,) + np.shape(dy))
+    # indexing with ... keeps the slots of 0-d inputs arrays, so out= works
+    work, two_c1, p1, q1, p, q, *owned = (scratch[k, ...] for k in range(8 + 2 * sines))
+    np.multiply(c1, 2.0, out=two_c1)
+    u = np.abs(dy, out=work)
+    np.exp(-2.0 * np.pi * (1.0 + u), out=p1)
+    np.exp(-2.0 * np.pi * (1.0 - u), out=q1)
+    p[...], q[...] = p1, q1
+    # [c_(m-1), c_m] of each recurrence, from c_0 = 1 and s_0 = 0
+    recs = [owned[:2]] + ([owned[2:]] if sines else [])
+    for rec, first, zeroth in zip(recs, (c1, s1), (1.0, 0.0)):
+        rec[0][...], rec[1][...] = zeroth, first
     for m in range(terms):
-        yield _SERIES_COEF[m], c, s, p, q
+        yield _SERIES_COEF[m], recs[0][1], recs[-1][1] if sines else None, p, q
         if m + 1 < terms:
-            c_prev, c = c, two_c1 * c - c_prev
-            if sines:
-                s_prev, s = s, two_c1 * s - s_prev
-            p, q = p * p1, q * q1
+            for rec in recs:
+                np.multiply(two_c1, rec[1], out=work)
+                np.subtract(work, rec[0], out=rec[0])
+                rec.reverse()
+            p *= p1
+            q *= q1
 
 
-def _green_raw(dx, dy, s2, terms=_GREEN_SERIES_TERMS):
-    """Green function from wrapped displacements and s2 = sin^2 pi dx + sinh^2 pi dy
-    (no singularity guard)."""
-    out = -np.log(4.0 * s2) / (4.0 * np.pi)
-    out += 0.5 * (dy**2 + 1.0 / 6.0)
-    for coef, c, _, p, q in _modes(dx, dy, terms):
-        out += coef * (c * (p + q))
+def _green_raw(c1, dy, s2, terms=_GREEN_SERIES_TERMS, out=None, scratch=None):
+    """Green function from c1 = cos 2 pi dx, the wrapped dy and s2 = sin^2 pi dx +
+    sinh^2 pi dy (no singularity guard), into `out` if given; `scratch` goes to `_modes`."""
+    if scratch is None:
+        scratch = np.empty((8,) + np.shape(dy))
+    work = scratch[0, ...]
+    out = np.multiply(s2, 4.0, out=np.empty_like(work) if out is None else out)
+    np.log(out, out=out)
+    out /= -4.0 * np.pi
+    np.multiply(dy, dy, out=work)
+    work += 1.0 / 6.0
+    work *= 0.5
+    out += work
+    for coef, c, _, p, q in _modes(c1, dy, terms, scratch=scratch):
+        np.add(p, q, out=work)
+        work *= c
+        work *= coef
+        out += work
     return out
 
 
@@ -109,7 +130,8 @@ def periodic_green_kernel(x, y=None):
     1e-12 everywhere.  Accepts points or arrays; y may be omitted when x
     already holds displacements.
     """
-    return _green_raw(*_separation(x, y))
+    dx, dy, s2 = _separation(x, y)
+    return _green_raw(np.cos(2.0 * np.pi * dx), dy, s2)[()]
 
 
 def green_regular_origin():
@@ -121,10 +143,11 @@ def green_regular_origin():
 def periodic_green_gradient(x, y=None):
     """Gradient of G with respect to its first argument."""
     dx, dy, s2 = _separation(x, y)
-    gx = -np.sin(2.0 * np.pi * dx) / (4.0 * s2)
+    s1 = np.sin(2.0 * np.pi * dx)
+    gx = -s1 / (4.0 * s2)
     gy = -np.sinh(2.0 * np.pi * dy) / (4.0 * s2) + dy
     sgn = np.sign(dy)
-    for m, (coef, c, s, p, q) in enumerate(_modes(dx, dy, _GREEN_SERIES_TERMS, sines=True), 1):
+    for m, (coef, c, s, p, q) in enumerate(_modes(np.cos(2.0 * np.pi * dx), dy, s1=s1), 1):
         a = 2.0 * np.pi * m
         gx -= (a * coef) * (s * (p + q))
         gy += (a * coef) * (c * (sgn * (q - p)))
@@ -206,7 +229,7 @@ def _green2_raw(dx, dy):
     li2, li3 = _polylogs((2.0 * np.pi) * (1j * dx - u))
     out = (1.0 / 30.0 - (u * (1.0 - u)) ** 2) / 24.0
     out += (li3.real + (2.0 * np.pi) * u * li2.real) / (16.0 * np.pi**3)
-    for m, (_, c, _, p, q) in enumerate(_modes(dx, dy, _GREEN_SERIES_TERMS)):
+    for m, (_, c, _, p, q) in enumerate(_modes(np.cos(2.0 * np.pi * dx), dy)):
         out += c * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
     return out
 
@@ -220,7 +243,8 @@ def _green2_gradient_raw(dx, dy):
     log1q = np.log(-np.expm1(mu))
     gx = (2.0 * np.pi * u * log1q.imag - li2.imag) / (8.0 * np.pi**2)
     gu = u * log1q.real / (4.0 * np.pi) - u * (u - 0.5) * (u - 1.0) / 6.0
-    for m, (_, c, s, p, q) in enumerate(_modes(dx, dy, _GREEN_SERIES_TERMS, sines=True)):
+    x2 = 2.0 * np.pi * dx
+    for m, (_, c, s, p, q) in enumerate(_modes(np.cos(x2), dy, s1=np.sin(x2))):
         gx -= _A2[m] * s * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
         gu += c * (_G2_C[m] * (q - p) - _G2_D[m] * u * (p + q))
     return gx, np.sign(dy) * gu
@@ -294,32 +318,63 @@ class SingleLayerOperator:
         return float(wphi @ (self.kernel @ wphi))
 
 
+def _pair_green(sx, cx, y, i, j, scratch):
+    """G between markers i and j from their sin pi x, cos pi x and y, in `scratch`
+    (11 arrays shaped like the pairs): sin pi dx = sin pi x_i cos pi x_j - cos pi x_i
+    sin pi x_j needs no wrap, since only its square enters.  Coincident markers
+    raise SingularityError."""
+    sn2, dy, s2 = scratch[:3]  # the series then runs in place from s2
+    np.multiply(sx[i], cx[j], out=sn2)
+    sn2 -= cx[i] * sx[j]
+    sn2 *= sn2
+    np.subtract(y[i], y[j], out=dy)
+    dy -= np.round(dy)
+    np.multiply(dy, np.pi, out=s2)
+    np.sinh(s2, out=s2)
+    s2 *= s2
+    s2 += sn2
+    if np.any(s2 < 1e-28):
+        raise SingularityError("Green function evaluated at coincident points")
+    sn2 *= -2.0
+    sn2 += 1.0  # cos 2 pi dx
+    terms = _series_terms(np.abs(dy).max())
+    return _green_raw(sn2, dy, s2, terms=terms, out=s2, scratch=scratch[3:])
+
+
 def assemble_single_layer(curve):
     """Dense single-layer matrix with Kress log quadrature on the diagonal blocks.
 
     The kernel is symmetric: the Green series runs on the strict upper
-    triangle of each diagonal block and once on each cross block.
+    triangle of each diagonal block and once on each cross block, from
+    per-marker sines and cosines.  All block temporaries share one scratch
+    allocation: once glibc has freed it, its dynamic mmap and trim thresholds
+    sit above it, so later calls reuse heap pages instead of faulting in new ones.
     """
     slices = curve.loop_slices()
     weights = curve.arclength_weights()
-    kernel = np.zeros((curve.n_markers, curve.n_markers))
+    pts = curve.markers()
+    sx, cx, y = np.sin(np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0]), pts[:, 1]
+    # the largest block: one triangle, or the cross block of the two largest loops
+    ns = sorted((lp.n for lp in curve.components), reverse=True) + [0]
+    buf = np.empty((11, max(ns[0] * (ns[0] - 1) // 2, ns[0] * ns[1])))
+    kernel = np.empty((curve.n_markers, curve.n_markers))
     r0 = green_regular_origin()
-    for lp, sl in zip(curve.components, slices):
+    loops = list(zip(curve.components, slices))
+    for lp, sl in loops:
         n = lp.n
         iu, ju, table = _diagonal_block_tables(n)
-        pts = lp.markers
-        dx, dy, s2 = _separation(np.take(pts, iu, axis=0), np.take(pts, ju, axis=0))
-        g = np.zeros((n, n))
-        g[iu, ju] = _green_raw(dx, dy, s2, terms=_series_terms(np.abs(dy).max()))
-        block = g + g.T + table
+        g = _pair_green(sx[sl], cx[sl], y[sl], iu, ju, buf[:, : iu.size])
+        block = kernel[sl, sl]
+        block[iu, ju] = g
+        block[ju, iu] = g
         # R(0) - log|x'|/2pi on the diagonal, with the speed |x'| = n w / 2pi
-        block.flat[:: n + 1] += r0 - np.log(weights[sl] * (n / (2.0 * np.pi))) / (2.0 * np.pi)
-        kernel[sl, sl] = block
+        np.fill_diagonal(block, r0 - np.log(weights[sl] * (n / (2.0 * np.pi))) / (2.0 * np.pi))
+        block += table
     # cross-loop blocks: smooth kernel, plain trapezoid
-    for i, (lpi, sli) in enumerate(zip(curve.components, slices)):
-        for lpj, slj in zip(curve.components[i + 1:], slices[i + 1:]):
-            dx, dy, s2 = _separation(lpi.markers[:, None, :], lpj.markers[None, :, :])
-            block = _green_raw(dx, dy, s2, terms=_series_terms(np.abs(dy).max()))
+    for a, (lpi, sli) in enumerate(loops):
+        for lpj, slj in loops[a + 1:]:
+            scratch = buf[:, : lpi.n * lpj.n].reshape(11, lpi.n, lpj.n)
+            block = _pair_green(sx, cx, y, (sli, None), (None, slj), scratch)
             kernel[sli, slj] = block
             kernel[slj, sli] = block.T
     return SingleLayerOperator(kernel=kernel, weights=weights)

@@ -120,6 +120,8 @@ def load_config(path=None, overrides=(), env=None):
         unknown = sorted(set(cp.options(section)) - known[section])
         if unknown:
             raise ConfigError(f"unknown config key '{section}.{unknown[0]}'")
+    # no command reads [grid] n, but a malformed value is still a config error
+    _getint_at_least(cp, "grid", "n", 1)
     return cp
 
 

@@ -281,79 +281,84 @@ def enforce_volume(curve, target_area):
 
 
 def _extract_theta(curve):
-    """Per-loop tangent-angle data: periodic deviation, turning number, length, mean."""
+    """Tangent-angle data per group of loops of equal n ("idx", their positions),
+    as columns: periodic deviation, turning number, length, mean, winding."""
     out = []
-    for lp in curve.components:
-        tau = lp.tangent()
-        theta = np.unwrap(np.arctan2(tau[:, 1], tau[:, 0]))
-        turn = 0 if np.any(lp.winding != 0) else (1 if lp.orientation > 0 else -1)
-        alpha = 2.0 * np.pi * np.arange(lp.n) / lp.n
+    for n in dict.fromkeys(lp.n for lp in curve.components):
+        idx = [i for i, lp in enumerate(curve.components) if lp.n == n]
+        loops = [curve.components[i] for i in idx]
+        tau = np.stack([lp.tangent() for lp in loops], axis=1)
+        theta = np.unwrap(np.arctan2(tau[..., 1], tau[..., 0]), axis=0)
+        turn = np.array([0 if np.any(lp.winding != 0) else lp.orientation for lp in loops])
+        alpha = (2.0 * np.pi * np.arange(n) / n)[:, None]
         out.append(
             {
+                "idx": idx,
+                "alpha": alpha,
                 "dev": theta - turn * alpha,
                 "turn": turn,
-                "L": lp.length(),
-                "mean": lp.lift.mean(axis=0),
-                "winding": np.asarray(lp.winding, dtype=float),
-                "n": lp.n,
+                "L": np.array([lp.length() for lp in loops]),
+                "mean": np.array([lp.lift.mean(axis=0) for lp in loops]),
+                "winding": np.array([lp.winding for lp in loops], dtype=float),
             }
         )
     return out
 
 
 def _reconstruct(loopdata):
-    loops = []
-    for ld in loopdata:
-        n = ld["n"]
-        alpha = 2.0 * np.pi * np.arange(n) / n
-        theta = ld["dev"] + ld["turn"] * alpha
-        tau = np.column_stack([np.cos(theta), np.sin(theta)])
+    loops = {}
+    for g in loopdata:
+        alpha = g["alpha"][..., None]
+        theta = g["dev"] + g["turn"] * g["alpha"]
+        tau = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         mean_tau = tau.mean(axis=0)
-        anti = apply_symbol(tau, spectral_factor(n, -1))
-        x = (ld["L"] / (2.0 * np.pi)) * (anti + np.outer(alpha, mean_tau))
+        anti = apply_symbol(tau, spectral_factor(len(alpha), -1))
+        x = (g["L"][:, None] / (2.0 * np.pi)) * (anti + alpha * mean_tau)
         # distribute the closure defect linearly so x(2pi) - x(0) = winding exactly
-        defect = ld["L"] * mean_tau - ld["winding"]
-        x -= np.outer(alpha / (2.0 * np.pi), defect)
-        x += ld["mean"] - x.mean(axis=0)
-        loops.append(MarkerLoop(x, ld["winding"].astype(int)))
-    return PeriodicCurve(loops, check=False)
+        defect = g["L"][:, None] * mean_tau - g["winding"]
+        x -= (alpha / (2.0 * np.pi)) * defect
+        x += g["mean"] - x.mean(axis=0)
+        for col, i in enumerate(g["idx"]):
+            loops[i] = MarkerLoop(x[:, col], g["winding"][col].astype(int))
+    return PeriodicCurve([loops[i] for i in sorted(loops)], check=False)
 
 
 def _ssd_symbol(flow_kind, L, n):
-    # q^2 = -(2pi/L)^2 (ik)^2 is the symbol of -d^2/ds^2 on a loop of length L
-    q2 = -((2.0 * np.pi / L) ** 2) * spectral_factor(n, 2).real
+    # q^2 = -(2pi/L)^2 (ik)^2 is the symbol of -d^2/ds^2 on a loop of length L, one
+    # row per entry of the array L
+    q2 = -((2.0 * np.pi / L[:, None]) ** 2) * spectral_factor(n, 2).real
     return -(q2**2) if flow_kind == "sd" else -2.0 * q2**1.5
 
 
 def _ssd_linear_halfstep(loopdata, flow_kind, dt):
-    for ld in loopdata:
-        lam = _ssd_symbol(flow_kind, ld["L"], ld["n"])
-        ld["dev"] = apply_symbol(ld["dev"], np.exp(lam * 0.5 * dt))
+    for g in loopdata:
+        lam = _ssd_symbol(flow_kind, g["L"], len(g["alpha"]))
+        g["dev"] = apply_symbol(g["dev"], np.exp(lam * 0.5 * dt))
 
 
 def _ssd_rhs(state, loopdata):
     """Remainder dynamics of (theta_dev, L, mean) after subtracting the symbol."""
     curve = _reconstruct(loopdata)
     V = _evaluate(state, curve).V
+    starts = np.array([sl.start for sl in curve.loop_slices()])
     out = []
-    for ld, sl in zip(loopdata, curve.loop_slices()):
-        n = ld["n"]
-        alpha = 2.0 * np.pi * np.arange(n) / n
-        v = V[sl]
-        s_alpha = ld["L"] / (2.0 * np.pi)
-        theta = ld["dev"] + ld["turn"] * alpha
-        theta_a = apply_symbol(ld["dev"], spectral_factor(n, 1)) + ld["turn"]
+    for g in loopdata:
+        alpha, dev, turn = g["alpha"], g["dev"], g["turn"]
+        n = len(alpha)
+        v = V[np.arange(n)[:, None] + starts[g["idx"]]]
+        s_alpha = g["L"] / (2.0 * np.pi)
+        theta = dev + turn * alpha
+        theta_a = apply_symbol(dev, spectral_factor(n, 1)) + turn
         integrand = theta_a * v
-        mean_i = float(integrand.mean())
+        mean_i = integrand.mean(axis=0)
         # dT/dalpha = -(theta_a v - mean)
         T = -apply_symbol(integrand, spectral_factor(n, -1))
         va = apply_symbol(v, spectral_factor(n, 1))
         theta_t = (-va + T * theta_a) / s_alpha
-        lam = _ssd_symbol(state.flow_kind, ld["L"], n)
-        linear = apply_symbol(ld["dev"], lam)
-        tau = np.column_stack([np.cos(theta), np.sin(theta)])
-        nu = np.column_stack([tau[:, 1], -tau[:, 0]])
-        mean_dot = (v[:, None] * nu).mean(axis=0) + (T[:, None] * tau).mean(axis=0)
+        linear = apply_symbol(dev, _ssd_symbol(state.flow_kind, g["L"], n))
+        tau = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        nu = np.stack([tau[..., 1], -tau[..., 0]], axis=-1)
+        mean_dot = (v[..., None] * nu).mean(axis=0) + (T[..., None] * tau).mean(axis=0)
         out.append(
             {
                 "dev_dot": theta_t - linear,
@@ -367,12 +372,12 @@ def _ssd_rhs(state, loopdata):
 def _ssd_apply(loopdata, rhs, dt):
     return [
         {
-            **ld,
-            "dev": ld["dev"] + dt * r["dev_dot"],
-            "L": ld["L"] + dt * r["L_dot"],
-            "mean": ld["mean"] + dt * r["mean_dot"],
+            **g,
+            "dev": g["dev"] + dt * r["dev_dot"],
+            "L": g["L"] + dt * r["L_dot"],
+            "mean": g["mean"] + dt * r["mean_dot"],
         }
-        for ld, r in zip(loopdata, rhs)
+        for g, r in zip(loopdata, rhs)
     ]
 
 

@@ -22,7 +22,8 @@ def _load(name):
     return mod
 
 
-TARGETS = _load("tracing").TARGETS
+TRACING = _load("tracing")
+TARGETS = TRACING.TARGETS
 WORKLOADS = _load("workloads").WORKLOADS
 
 
@@ -42,3 +43,24 @@ def test_stability_verdict_runs_as_the_benchmark_calls_it():
     work = WORKLOADS["stability_scan"]()
     work.setup(0)
     assert work.verdict(1, 10.0) == "strictly_stable"
+
+
+def test_green_raw_span_covers_each_assembly_block():
+    # the traced bie.green_raw span measures the assembly's series only if the
+    # assembly calls bie._green_raw once per block: two diagonal blocks and
+    # one cross block on the two-loop strip
+    from torusflow import bie, shapes
+
+    calls = []
+    original = bie._green_raw
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    undo = TRACING.rebind(bie, "_green_raw", counted, True)
+    try:
+        bie.assemble_single_layer(shapes.perturbed_strip(0.5, 1e-3, 1, n=96, which="both"))
+    finally:
+        TRACING.restore(undo)
+    assert len(calls) == 3

@@ -75,7 +75,7 @@ def test_green_raw_series_near_cell_edges(p):
     # the recurrences for cos(2 pi m dx) and e^(-2 pi m (1 +- u)) with the
     # assembly's truncation rule, where dx -> +-1/2 and |dy| -> 1/2
     dx, dy, s2 = _separation(np.array(p), None)
-    val = _green_raw(dx, dy, s2, terms=_series_terms(abs(dy)))
+    val = _green_raw(np.cos(2 * np.pi * dx), dy, s2, terms=_series_terms(abs(dy)))
     assert abs(val - _fourier_sum_reference(*p)) < 1e-13
 
 
@@ -298,8 +298,14 @@ def _reference_single_layer(curve):
 
 @pytest.mark.parametrize(
     "curve",
-    [shapes.perturbed_strip(0.3, 0.05, 2, n=96, which="both"), shapes.lamella(3, n_per_loop=64)],
-    ids=["perturbed_strip", "lamella3"],
+    [
+        shapes.perturbed_strip(0.3, 0.05, 2, n=96, which="both"),
+        shapes.lamella(3, n_per_loop=64),
+        # pairs wrap in both x and y across the cell corner
+        shapes.circle(0.2, center=(0.01, 0.99), n=256),
+        shapes.lamella(4, n_per_loop=64),
+    ],
+    ids=["perturbed_strip", "lamella3", "corner_circle", "lamella4"],
 )
 def test_single_layer_matches_reference(curve):
     op = assemble_single_layer(curve)

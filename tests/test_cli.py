@@ -244,6 +244,8 @@ def test_exit_codes(tmp_path):
     assert main(["simulate", bad]) == 2
     bad2 = write_ini(tmp_path, "[flow]\nkind = sideways\n", name="b2.ini")
     assert main(["simulate", bad2]) == 2
+    for n in ("abc", "-5"):
+        assert main(["simulate", "-o", f"output.dir={tmp_path}", "-o", f"grid.n={n}"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from torusflow.flow import (
     run,
     step,
 )
-from torusflow.geometry import enclosed_area, height_function
+from torusflow.geometry import PeriodicCurve, enclosed_area, height_function
 
 
 def test_stationary_circle_sd():
@@ -328,6 +328,20 @@ def test_ssd_matches_rk4_short_horizon():
     pr = height_function(final_r.curve, base)
     ps = height_function(res_s.state.curve, base)
     assert np.abs(pr - ps).max() < 1e-3 * max(np.abs(pr).max(), 1e-12) + 1e-12
+
+
+def test_ssd_step_independent_of_loop_order():
+    # loops of unequal n run in separate groups; listing them in the other
+    # order permutes the single-layer system and nothing else
+    top = shapes.perturbed_strip(0.5, 1e-3, 1, n=96, which="both").components[1]
+    bottom = shapes.perturbed_strip(0.5, 1e-3, 1, n=64, which="both").components[0]
+    curve, swapped = PeriodicCurve([bottom, top]), PeriodicCurve([top, bottom])
+    new = step(make_state(curve, "ms"), 1e-4).curve.components
+    new_swapped = step(make_state(swapped, "ms"), 1e-4).curve.components
+    assert [lp.n for lp in new] == [64, 96]
+    for a, b in zip(new, new_swapped[::-1]):
+        np.testing.assert_array_equal(a.winding, b.winding)
+        assert np.abs(a.lift - b.lift).max() < 1e-13
 
 
 def test_snapshots_collected():
