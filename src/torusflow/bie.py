@@ -21,14 +21,13 @@ energy come from the closed-form biharmonic Green function G2 (-Lap G2 = G).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.special import zeta
 
 from .errors import ResolutionError, SingularityError
-from .geometry import apply_symbol, curvature, integrate_ds, spectral_factor
+from .geometry import apply_symbol, curvature, spectral_factor
 
 # solve_jump refuses a system whose estimated 1-norm condition number exceeds this.
 COND_LIMIT = 1e12
@@ -302,22 +301,6 @@ def _diagonal_block_tables(n):
     return iu, ju, table
 
 
-@dataclass
-class SingleLayerOperator:
-    """Nystrom discretization of (S sigma)(x) = int G(x,y) sigma(y) ds(y)."""
-
-    kernel: np.ndarray  # symmetric kernel matrix, log part folded in
-    weights: np.ndarray  # arclength quadrature weights
-
-    def apply(self, sigma):
-        return self.kernel @ (self.weights * np.asarray(sigma))
-
-    def quadratic_form(self, phi):
-        """Double integral of G against the density phi twice (the nonlocal pairing)."""
-        wphi = self.weights * np.asarray(phi)
-        return float(wphi @ (self.kernel @ wphi))
-
-
 def _pair_green(sx, cx, y, i, j, scratch):
     """G between markers i and j from their sin pi x, cos pi x and y, in `scratch`
     (11 arrays shaped like the pairs): sin pi dx = sin pi x_i cos pi x_j - cos pi x_i
@@ -342,7 +325,8 @@ def _pair_green(sx, cx, y, i, j, scratch):
 
 
 def assemble_single_layer(curve):
-    """Dense single-layer matrix with Kress log quadrature on the diagonal blocks.
+    """Dense single-layer kernel K with Kress log quadrature on the diagonal blocks:
+    (S sigma)(x_i) = sum_j K_ij w_j sigma_j, w the arclength weights.
 
     The kernel is symmetric: the Green series runs on the strict upper
     triangle of each diagonal block and once on each cross block, from
@@ -377,19 +361,19 @@ def assemble_single_layer(curve):
             block = _pair_green(sx, cx, y, (sli, None), (None, slj), scratch)
             kernel[sli, slj] = block
             kernel[slj, sli] = block.T
-    return SingleLayerOperator(kernel=kernel, weights=weights)
+    return kernel
 
 
-def potential_gradient(curve, operator=None):
+def potential_gradient(curve, kernel):
     """Dv_E at the markers, (n, 2), through the single-layer identity Dv_E = -2 S[nu].
 
     Integrating -Lap v_E = u_E - m by parts against the Green kernel turns the
     bulk gradient into a single layer with the vector density -2 nu, so the
-    trace inherits the Kress quadrature's spectral accuracy.
+    trace inherits the Kress quadrature's spectral accuracy.  `kernel` is
+    `assemble_single_layer(curve)`.
     """
-    op = operator if operator is not None else assemble_single_layer(curve)
-    nu = curve.normals()
-    return -2.0 * np.column_stack([op.apply(nu[:, 0]), op.apply(nu[:, 1])])
+    w, nu = curve.arclength_weights(), curve.normals()
+    return -2.0 * np.column_stack([kernel @ (w * nu[:, 0]), kernel @ (w * nu[:, 1])])
 
 
 def potential_trace(curve, gradient, kappa):
@@ -462,54 +446,21 @@ def adjoint_double_layer(curve):
     return kmat
 
 
-@dataclass
-class JumpSolution:
-    """Solution bundle of the harmonic jump problem on one curve.
-
-    The one-sided normal derivatives (adjoint double layer) are assembled
-    lazily; flow stepping needs only the jump.
-    """
-
-    curve: object
-    boundary_data: np.ndarray
-    density: np.ndarray  # single-layer density sigma, zero weighted mean
-    jump: np.ndarray  # [d_nu w] = -sigma
-    additive_constant: float
-    weights: np.ndarray
-    rcond: float  # gecon reciprocal 1-norm condition estimate
-    _ks: np.ndarray = None
-
-    def _adjoint_apply(self):
-        if self._ks is None:
-            kstar = adjoint_double_layer(self.curve)
-            self._ks = kstar @ (self.weights * self.density)
-        return self._ks
-
-    @property
-    def one_sided_plus(self):
-        return self._adjoint_apply() - 0.5 * self.density
-
-    @property
-    def one_sided_minus(self):
-        return self._adjoint_apply() + 0.5 * self.density
-
-    def dissipation(self):
-        """int |Dw|^2 = -int_boundary g [d_nu w] ds (nonnegative)."""
-        return -integrate_ds(self.curve, self.boundary_data * self.jump)
-
-
-def solve_jump(curve, g, operator=None):
-    """Solve S[sigma] + c = g with int sigma ds = 0; return the jump bundle."""
+def solve_jump(curve, g, kernel):
+    """Solve S[sigma] + c = g with int sigma ds = 0, S the single layer of
+    `kernel` (`assemble_single_layer(curve)`); return (sigma, c, rcond), with
+    rcond the gecon estimate of the bordered system's reciprocal 1-norm
+    condition number.  The normal-derivative jump is [d_nu w] = -sigma."""
     gv = curve.require_samples(g)
     if not np.all(np.isfinite(gv)):
         raise ValueError("boundary data must be finite")
-    op = operator if operator is not None else assemble_single_layer(curve)
+    weights = curve.arclength_weights()
     n = curve.n_markers
     # filled and factored in place: the bordered matrix is the only n^2 temporary
     A = np.empty((n + 1, n + 1), order="F")
-    np.multiply(op.kernel, op.weights, out=A[:n, :n])
+    np.multiply(kernel, weights, out=A[:n, :n])
     A[:n, n] = 1.0
-    A[n, :n] = op.weights
+    A[n, :n] = weights
     A[n, n] = 0.0
     rhs = np.concatenate([gv, [0.0]])
     lange, gecon = get_lapack_funcs(("lange", "gecon"), (A,))
@@ -522,13 +473,4 @@ def solve_jump(curve, g, operator=None):
             "increase the marker count"
         )
     sol = lu_solve((lu, piv), rhs)
-    sigma, c = sol[:n], float(sol[n])
-    return JumpSolution(
-        curve=curve,
-        boundary_data=gv,
-        density=sigma,
-        jump=-sigma,
-        additive_constant=c,
-        weights=op.weights,
-        rcond=float(rcond),
-    )
+    return sol[:n], float(sol[n]), float(rcond)

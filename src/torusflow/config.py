@@ -104,8 +104,9 @@ def load_config(path=None, overrides=(), env=None):
         if len(parts) != 2:
             continue
         section, opt = parts
-        if cp.has_section(section):
-            cp.set(section, opt, val)
+        if not cp.has_section(section):
+            raise ConfigError(f"unknown config section '{section}' in {key}")
+        cp.set(section, opt, val)
     for ov in overrides:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: '{ov}'")

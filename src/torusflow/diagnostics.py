@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import bie
 from .flow import Evaluation
 from .geometry import apply_symbol, integrate_ds, resample_equal_arclength, spectral_factor
 from .shapes import graph_over
@@ -107,9 +108,11 @@ def _second_identity(ev, rhs, terms, dt, fd_scale):
 def verify_second_identity_ms(curve, gamma=0.0, dt=None, fd_scale=5e-3):
     """Check d/dt (1/2 int |Dw|^2) = -Q[[d_nu w]] + (1/2) int (d_nu w+ + d_nu w-)[d_nu w]^2."""
     ev = Evaluation(curve, "ms", gamma)
-    sol, jump = ev.jump, ev.V
-    q2 = second_variation_direct(ev, jump)
-    cubic = 0.5 * integrate_ds(curve, (sol.one_sided_plus + sol.one_sided_minus) * jump**2)
+    V = ev.V
+    q2 = second_variation_direct(ev, V)
+    # d_nu w+ + d_nu w- = -2 K*[V], K* the adjoint double layer and V = [d_nu w]
+    ks = bie.adjoint_double_layer(curve) @ (curve.arclength_weights() * V)
+    cubic = -integrate_ds(curve, ks * V**2)
     terms = {"second_variation": -q2, "cubic": cubic}
     return _second_identity(ev, -q2 + cubic, terms, dt, fd_scale)
 

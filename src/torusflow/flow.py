@@ -168,8 +168,8 @@ class Evaluation:
     D = int |d_s H|^2 and J = perimeter.  No grid is involved: the trace of v_E
     comes from the single layer and one biharmonic-Green row per loop, and the
     nonlocal energy, read only at records, from the biharmonic Green function
-    (`bie`).  `variation` and `diagnostics` read the criticality residual and
-    d_nu v_E.
+    (`bie`).  `variation` and `diagnostics` read the criticality residual,
+    d_nu v_E and the single-layer kernel.
     """
 
     def __init__(self, curve, flow_kind, gamma=0.0):
@@ -187,13 +187,14 @@ class Evaluation:
         return arclength_derivative(self.curve, self.kappa)
 
     @cached_property
-    def operator(self):
+    def kernel(self):
+        """The single-layer kernel matrix of the curve (`bie.assemble_single_layer`)."""
         return bie.assemble_single_layer(self.curve)
 
     @cached_property
     def potential_gradient(self):
         """Dv_E at the markers, (n, 2), through the evaluation's single layer."""
-        return bie.potential_gradient(self.curve, self.operator)
+        return bie.potential_gradient(self.curve, self.kernel)
 
     @cached_property
     def potential_derivative(self):
@@ -217,21 +218,23 @@ class Evaluation:
         return self.datum - lam, float(lam)
 
     @cached_property
-    def jump(self):
-        return bie.solve_jump(self.curve, self.datum, operator=self.operator)
+    def solution(self):
+        """(sigma, c, rcond) of the MS jump problem S[sigma] + c = datum (`bie.solve_jump`)."""
+        return bie.solve_jump(self.curve, self.datum, self.kernel)
 
     @cached_property
     def V(self):
         if self.flow_kind == "sd":
             # V = Lap_tau H has zero mean per loop, so the flow is volume preserving
             return surface_laplacian(self.curve, self.kappa)
-        return self.jump.jump
+        return -self.solution[0]  # the jump [d_nu w] = -sigma
 
     @cached_property
     def dissipation(self):
         if self.flow_kind == "sd":
             return integrate_ds(self.curve, self.dkappa**2)
-        return self.jump.dissipation()
+        # int |Dw|^2 = -int_boundary w [d_nu w] ds
+        return -integrate_ds(self.curve, self.datum * self.V)
 
     @cached_property
     def nonlocal_energy(self):

@@ -15,6 +15,8 @@ from .geometry import MarkerLoop, PeriodicCurve, displace, resample_equal_arclen
 
 def circle(r, center=(0.5, 0.5), n=256, phase="inside"):
     """Circle of radius r; phase='outside' builds the complement-phase curve."""
+    if phase not in ("inside", "outside"):
+        raise ConfigError("circle phase must be 'inside' or 'outside'")
     theta = 2.0 * np.pi * np.arange(n) / n
     if phase == "outside":
         theta = -theta  # clockwise travel puts E outside
@@ -94,6 +96,8 @@ def perturbed_strip(h, eps, mode, offset=0.0, n=256, which="top"):
     which='top' displaces only the upper interface outward by eps*sin(2 pi mode x);
     which='both' displaces both interfaces outward (the slow MS eigenmode).
     """
+    if which not in ("top", "bottom", "both"):
+        raise ConfigError("perturbed strip 'which' must be 'top', 'bottom' or 'both'")
     base = strip(h, offset=offset, angle=0, n=n)
     x = base.markers()[:, 0]
     psi = np.zeros(base.n_markers)

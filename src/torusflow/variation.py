@@ -153,7 +153,7 @@ def assemble_second_variation(curve, gamma, n_modes=8, grid_n=256):
     means = np.concatenate([B[sl, cs].T @ w[sl] for sl, cs in blocks])
     # loop-pair blocks of the symmetric kernel for i <= j, mirrored below the diagonal
     WB = [w[sl, None] * B[sl, cs] for sl, cs in blocks]
-    K, n = ev.operator.kernel, len(blocks)
+    K, n = ev.kernel, len(blocks)
     pair = {(i, j): WB[i].T @ K[blocks[i][0], blocks[j][0]] @ WB[j]
             for i, j in zip(*np.triu_indices(n))}
     nonlocal_part = np.block([[pair[i, j] if i <= j else pair[j, i].T for j in range(n)]
@@ -264,7 +264,8 @@ def second_variation_direct(ev, phi):
     dphi = arclength_derivative(curve, vals)
     out = float(np.sum(w * dphi**2) - np.sum(w * ev.kappa**2 * vals**2))
     if ev.gamma != 0.0:
-        out += 8.0 * ev.gamma * ev.operator.quadratic_form(vals)
+        wphi = w * vals  # the nonlocal pairing: G integrated against phi twice
+        out += 8.0 * ev.gamma * float(wphi @ (ev.kernel @ wphi))
         out += 4.0 * ev.gamma * float(np.sum(w * ev.potential_derivative * vals**2))
     return out
 

@@ -7,6 +7,7 @@ half-space matching, adaptive quadrature of analytic integrands.
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh, null_space
 
 
 # -- 1D strip electrostatics -----------------------------------------------
@@ -122,6 +123,28 @@ def single_strip_gamma_star(h=0.5, m=1):
     gh = lamella_mode_coupling(m, h)
     denom = 4.0 * h * (1.0 - h) - 8.0 * (g0 - gh)
     return (2.0 * np.pi * m) ** 2 / denom if denom > 0 else np.inf
+
+
+def lamella_shift_rates(k, h, gamma):
+    """Mullins-Sekerka decay rates of rigid interface shifts of the k-strip lamella.
+
+    Constant normal displacements a_i of the 2k flat interfaces (zero sum, for
+    the area) span an invariant subspace of the linearised flow, on which the
+    second variation is 8 gamma M + 4 gamma d I and the H^-1 metric is M:
+    M_ij = G0(y_i - y_j) with the zero-mean 1D Green function
+    G0(u) = (u^2 - u + 1/6)/2, u taken mod 1, and d = -h(1-h)/k the value of
+    d_nu v_E on every interface.  Returns the rates ascending (the y
+    translation's 0 first) and their M-orthonormal eigenvectors as columns,
+    interfaces in the loop order of `shapes.lamella`.
+    """
+    y = np.ravel([[j / k, (j + h) / k] for j in range(k)])
+    u = np.mod(y[:, None] - y[None, :], 1.0)
+    M = 0.5 * (u * u - u + 1.0 / 6.0)
+    d = -h * (1.0 - h) / k
+    P = null_space(np.ones((1, 2 * k)))  # orthonormal basis of the zero-sum space
+    rates, coeffs = eigh(P.T @ (8.0 * gamma * M + 4.0 * gamma * d * np.eye(2 * k)) @ P,
+                         P.T @ M @ P)
+    return rates, P @ coeffs
 
 
 # -- geometry ----------------------------------------------------------------

@@ -270,10 +270,14 @@ def test_exit_codes(tmp_path):
         ("verify", ["verify.dt=0"]),
         ("verify", ["verify.dt=nan"]),
         ("stability", ["stability.gammas=0,nan"]),
+        ("simulate", ["geometry.type=perturbed_strip", "geometry.amplitude=1e-2",
+                      "geometry.which=tpo"]),
+        ("simulate", ["geometry.phase=outsde"]),
     ],
     ids=["max_steps", "verify_steps", "n_modes", "gammas", "lamella_h", "center", "tend",
          "c_cfl", "scheme", "k_max", "dt_zero", "dt_negative", "dt_nan", "gamma_nan",
-         "t_end_nan", "t_end_inf", "verify_dt_zero", "verify_dt_nan", "gammas_nan"],
+         "t_end_nan", "t_end_inf", "verify_dt_zero", "verify_dt_nan", "gammas_nan",
+         "which", "phase"],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, command, overrides):
     # an empty, non-numeric, short or out-of-range value, an unknown key and a
@@ -284,6 +288,13 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, overrides):
         args += ["-o", ov]
     assert main(args) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_env_var_of_unknown_section_is_config_error(tmp_path, monkeypatch, capsys):
+    # a misspelt section in the environment exits 2 like one in a file or a flag
+    monkeypatch.setenv("TORUSFLOW_FLWO_GAMMA", "5")
+    assert main(["simulate", "-o", f"output.dir={tmp_path}"]) == 2
+    assert "unknown config section 'flwo'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 import oracles
 import rk4_reference
 from torusflow import shapes
+from torusflow.diagnostics import fit_exponential
 from torusflow.flow import (
     ADVECTIVE_FRACTION,
     AREA_TOL,
@@ -349,3 +350,66 @@ def test_snapshots_collected():
     st = make_state(p, "sd", params=FlowParams(dt=5e-5))
     res = run(st, t_end=10 * 5e-5, snapshot_every=4)
     assert len(res.snapshots) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, gamma, dt", [("ms", 10.0, 5e-5), ("ms", 0.0, 5e-5), ("sd", 0.0, 1e-6)],
+    ids=["ms_gamma10", "ms_gamma0", "sd"],
+)
+def test_winding_loops_with_drifting_first_marker_run(kind, gamma, dt):
+    # the cosine perturbation moves the first marker of each winding loop off
+    # the lattice, so the seam segments' shared endpoint comes back off by an ulp
+    base = shapes.lamella(1, h=0.5, n_per_loop=64)
+    curve = shapes.graph_over(base, 1e-3 * np.cos(2 * np.pi * base.markers()[:, 0]))
+    res = run(make_state(curve, kind, gamma=gamma, params=FlowParams(dt=dt)), t_end=4 * dt)
+    assert res.event == "completed", res.reason
+    assert len(res.trace) == 5
+
+
+@pytest.mark.parametrize(
+    "curve, kind, gamma, t_end",
+    [
+        (shapes.perturbed_circle(0.2, 5e-3, 3, n=64), "sd", 0.0, 2e-5),
+        (shapes.perturbed_circle(0.2, 5e-3, 3, n=64), "ms", 0.0, 2e-4),
+        (shapes.perturbed_strip(0.5, 1e-3, 1, n=64, which="both"), "ms", 10.0, 4e-3),
+    ],
+    ids=["sd_circle", "ms_circle", "ms_strip_gamma10"],
+)
+def test_ssd_second_order_in_time(curve, kind, gamma, t_end):
+    # self-convergence of the final lifts against 128 steps as the step halves
+    def final_lifts(steps):
+        state = make_state(curve, kind, gamma=gamma)
+        for _ in range(steps):
+            state = step(state, t_end / steps)
+        return state.curve.lifts()
+
+    ref = final_lifts(128)
+    errs = [np.abs(final_lifts(n) - ref).max() for n in (8, 16, 32, 64)]
+    orders = np.log2(np.divide(errs[:-1], errs[1:]))
+    assert orders[0] >= 1.8 and orders[1] >= 1.8, orders
+
+
+def test_ms_lamella_shift_decays_at_oracle_rate():
+    # gamma > 0 against an independent closed form: the k=2 lamella perturbed by
+    # its rigid-shift eigenvector of rate 40 at gamma = 10 (oracles.lamella_shift_rates)
+    gamma, n, dt = 10.0, 64, 1e-3
+    rates, vecs = oracles.lamella_shift_rates(2, 0.5, gamma)
+    lam, v = rates[1], vecs[:, 1]
+    assert lam == pytest.approx(40.0, rel=1e-12)
+    base = shapes.lamella(2, h=0.5, n_per_loop=n)
+    curve = shapes.graph_over(base, 1e-3 * np.repeat(v, n))
+    res = run(make_state(curve, "ms", gamma=gamma, params=FlowParams(dt=dt)),
+              t_end=120 * dt, snapshot_every=1)
+    assert res.event == "completed", res.reason
+    sign = np.array([nu[:, 1].mean() for nu in base.split(base.normals())])
+    y0 = np.array([lp.lift[:, 1].mean() for lp in base.components])
+
+    def shifts(c):  # outward shift of each flat interface
+        return sign * (np.array([lp.lift[:, 1].mean() for lp in c.components]) - y0)
+
+    # the amplitude of v when the shifts are expanded in the oracle's eigenvectors
+    t = np.array([s for s, _ in res.snapshots])
+    amp = [np.linalg.lstsq(vecs, shifts(c), rcond=None)[0][1] for _, c in res.snapshots]
+    rate, r2 = fit_exponential(t, amp, window=(0.5 / lam, np.inf))
+    assert rate == pytest.approx(lam, rel=1e-2), rate
+    assert r2 > 0.999

@@ -765,6 +765,20 @@ def test_intersections_near_contact_both_ways(gap, expect):
     assert both_verdicts(curve) == expect
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1e-3, 1e-3), st.floats(1e-4, 1e-2))
+def test_winding_loop_seam_is_not_a_crossing(x0, eps):
+    # a winding loop whose lift starts off the lattice: its seam segment's
+    # shared endpoint comes back as (lift[0] + w) - w, which can sit one ulp
+    # off lift[0]
+    x = x0 + np.arange(64) / 64
+    lower = MarkerLoop(np.column_stack([x, -eps * np.cos(2 * np.pi * x)]), (1, 0))
+    upper = MarkerLoop(np.column_stack([x, 0.5 + eps * np.cos(2 * np.pi * x)])[::-1], (-1, 0))
+    curve = PeriodicCurve([lower, upper], check=False)
+    assert both_verdicts(curve) == "clear"
+    curve.validate()
+
+
 @FEW
 @given(st.floats(0.05, 0.3), st.floats(0.03, 0.2), st.floats(0.01, 0.5), st.integers(32, 128))
 def test_self_crossing_loop_raises_in_both(a, b, phase, n):

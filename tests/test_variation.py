@@ -251,6 +251,25 @@ def test_strip_gamma_modes_match_1d_oracle():
     assert ev[3] == pytest.approx(hi, rel=1e-3)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 10.0, 50.0])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lamella_shift_rates_closed_form(k, gamma):
+    # at h = 1/2 the rigid-shift rates are 4 gamma (1 - cos(pi j/k)), j = 1..k-1,
+    # each twice, above the y translation's 0
+    rates, _ = oracles.lamella_shift_rates(k, 0.5, gamma)
+    j = np.repeat(np.arange(1, k), 2)
+    expect = np.concatenate([[0.0], np.sort(4.0 * gamma * (1.0 - np.cos(np.pi * j / k)))])
+    np.testing.assert_allclose(rates, expect, rtol=1e-9, atol=1e-9 * gamma)
+
+
+def test_lamella_shift_rates_off_half():
+    # h = 0.3, gamma = 10: the rates the assembled form reproduces to 6 digits
+    np.testing.assert_allclose(oracles.lamella_shift_rates(2, 0.3, 10.0)[0][1:], [24.0, 56.0],
+                               rtol=1e-9)
+    np.testing.assert_allclose(oracles.lamella_shift_rates(3, 0.3, 10.0)[0][1:],
+                               [15.66895, 15.66895, 64.33105, 64.33105], rtol=1e-6)
+
+
 def test_ellipse_negative_direction_with_warning():
     e = shapes.ellipse(0.2, 0.1, n=128)
     with warnings.catch_warnings(record=True) as wlist:

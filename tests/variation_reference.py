@@ -80,7 +80,7 @@ def assemble_second_variation_dense(curve, gamma, n_modes=8):
         )
         warnings.warn(warning)
     WB = w[:, None] * B
-    nonlocal_part = WB.T @ ev.operator.kernel @ WB
+    nonlocal_part = WB.T @ ev.kernel @ WB
     nonlocal_part = 0.5 * (nonlocal_part + nonlocal_part.T)
     pot = B.T @ ((w * ev.potential_derivative)[:, None] * B)
     gram = B.T @ (w[:, None] * B)
