@@ -13,6 +13,9 @@ Sign conventions pinned here (and verified against the Fourier strip oracle in
 the tests): [d_nu w] = d_nu w^+ - d_nu w^-, and with boundary data g = H the
 resulting normal velocity makes a perturbed disk relax back to the disk.
 
+G is the cylinder kernel times the Jacobi theta product of its periodic images,
+one log per entry; only G2 below, which has no product form, sums the images.
+
 The nonlocal potential v_E of the phase needs no grid either: its gradient on
 the curve is the single layer -2 S[nu], and its values and its Dirichlet
 energy come from the closed-form biharmonic Green function G2 (-Lap G2 = G).
@@ -33,19 +36,13 @@ from .geometry import apply_symbol, curvature, spectral_factor
 COND_LIMIT = 1e12
 _GREEN_SERIES_TERMS = 12
 ENERGY_BLOCK_PAIRS = 1 << 16  # at most this many pairs per row block of potential_energy
-# C_m = 1 / ((1 - e^(-2 pi m)) 2 pi m), m = 1.._GREEN_SERIES_TERMS: the Fourier
-# coefficients of the periodic correction to the cylinder kernel.
-_SERIES_M = np.arange(1, _GREEN_SERIES_TERMS + 1)
-_SERIES_COEF = 1.0 / ((1.0 - np.exp(-2.0 * np.pi * _SERIES_M)) * (2.0 * np.pi * _SERIES_M))
+# r^j = e^(-2 pi j): G's theta factor F_j = |1 - r^j e^(2 pi i z)|^2 |1 - r^j e^(-2 pi i z)|^2,
+# z = dx + i dy, is 1 to round-off past j = 5
+_THETA_R = np.exp(-2.0 * np.pi * np.arange(1, 6))
 
 
 def _wrap_half(z):
     return z - np.round(z)
-
-
-def _series_terms(umax):
-    """Terms needed for 1e-13 truncation: e^(-2 pi m (1-u)) below 1e-13."""
-    return int(min(_GREEN_SERIES_TERMS, np.ceil(30.0 / (2.0 * np.pi * max(1.0 - umax, 0.5)))))
 
 
 def _separation(x, y):
@@ -65,91 +62,84 @@ def _separation(x, y):
     return dx, dy, s2
 
 
-def _modes(c1, dy, terms=_GREEN_SERIES_TERMS, s1=None, scratch=None):
-    """Yield (C_m, cos 2 pi m dx, sin 2 pi m dx, e^(-2 pi m (1+|dy|)), e^(-2 pi m (1-|dy|)))
-    for m = 1..terms, from c1 = cos 2 pi dx and, for the sines, s1 = sin 2 pi dx.
+def _modes(c1, dy, s1=None):
+    """Yield (cos 2 pi m dx, sin 2 pi m dx, e^(-2 pi m (1+|dy|)), e^(-2 pi m (1-|dy|)))
+    for m = 1.._GREEN_SERIES_TERMS, from c1 = cos 2 pi dx and s1 = sin 2 pi dx or None.
 
     Two exp in all: the harmonics follow the Chebyshev recurrences c_(m+1) =
     2 c_1 c_m - c_(m-1) (first kind for cos, second kind for sin) and the
-    exponentials are powers of their m = 1 values.  All run in place in
-    `scratch`, 8 arrays shaped like dy (10 with the sines), so a yielded array
-    holds only until the next one; scratch[0] is free between yields.
+    exponentials are powers of their m = 1 values.
     """
-    sines = s1 is not None
+    u = np.abs(dy)
+    p1, q1 = np.exp(-2.0 * np.pi * (1.0 + u)), np.exp(-2.0 * np.pi * (1.0 - u))
+    two_c1 = 2.0 * c1
+    c_prev, c, s_prev, s, p, q = 1.0, c1, 0.0, s1, p1, q1
+    for m in range(_GREEN_SERIES_TERMS):
+        yield c, s, p, q
+        if m + 1 < _GREEN_SERIES_TERMS:
+            c_prev, c = c, two_c1 * c - c_prev
+            if s1 is not None:
+                s_prev, s = s, two_c1 * s - s_prev
+            p, q = p * p1, q * q1
+
+
+def _green_raw(c1, dy, s2, out=None, scratch=None):
+    """G from c1 = cos 2 pi dx, the wrapped dy and s2 = sin^2 pi dx + sinh^2 pi dy (no
+    singularity guard), into `out` if given (s2 itself may be it), in 3 `scratch` arrays:
+    -log(4 s2 prod_j F_j)/4pi + (dy^2 + 1/6)/2, F_j = (1 - r^2j)^2 + 16 r^2j s2^2 -
+    4 r^j (1 - r^j)^2 ch c1 with ch = cosh 2 pi dy = 2 s2 + c1, so no exp runs."""
     if scratch is None:
-        scratch = np.empty((8 + 2 * sines,) + np.shape(dy))
+        scratch = np.empty((3,) + np.shape(dy))
     # indexing with ... keeps the slots of 0-d inputs arrays, so out= works
-    work, two_c1, p1, q1, p, q, *owned = (scratch[k, ...] for k in range(8 + 2 * sines))
-    np.multiply(c1, 2.0, out=two_c1)
-    u = np.abs(dy, out=work)
-    np.exp(-2.0 * np.pi * (1.0 + u), out=p1)
-    np.exp(-2.0 * np.pi * (1.0 - u), out=q1)
-    p[...], q[...] = p1, q1
-    # [c_(m-1), c_m] of each recurrence, from c_0 = 1 and s_0 = 0
-    recs = [owned[:2]] + ([owned[2:]] if sines else [])
-    for rec, first, zeroth in zip(recs, (c1, s1), (1.0, 0.0)):
-        rec[0][...], rec[1][...] = zeroth, first
-    for m in range(terms):
-        yield _SERIES_COEF[m], recs[0][1], recs[-1][1] if sines else None, p, q
-        if m + 1 < terms:
-            for rec in recs:
-                np.multiply(two_c1, rec[1], out=work)
-                np.subtract(work, rec[0], out=rec[0])
-                rec.reverse()
-            p *= p1
-            q *= q1
-
-
-def _green_raw(c1, dy, s2, terms=_GREEN_SERIES_TERMS, out=None, scratch=None):
-    """Green function from c1 = cos 2 pi dx, the wrapped dy and s2 = sin^2 pi dx +
-    sinh^2 pi dy (no singularity guard), into `out` if given; `scratch` goes to `_modes`."""
-    if scratch is None:
-        scratch = np.empty((8,) + np.shape(dy))
-    work = scratch[0, ...]
+    chc, sq, work = (scratch[k, ...] for k in range(3))
+    np.multiply(s2, 2.0, out=chc)
+    chc += c1
+    chc *= c1
+    np.multiply(s2, s2, out=sq)  # both before out (maybe s2) is written
     out = np.multiply(s2, 4.0, out=np.empty_like(work) if out is None else out)
+    for r in _THETA_R:
+        np.multiply(chc, -(1.0 - r) ** 2 / (4.0 * r), out=work)
+        work += sq
+        work *= 16.0 * r * r
+        work += (1.0 - r * r) ** 2
+        out *= work
     np.log(out, out=out)
     out /= -4.0 * np.pi
     np.multiply(dy, dy, out=work)
     work += 1.0 / 6.0
     work *= 0.5
     out += work
-    for coef, c, _, p, q in _modes(c1, dy, terms, scratch=scratch):
-        np.add(p, q, out=work)
-        work *= c
-        work *= coef
-        out += work
     return out
 
 
 def periodic_green_kernel(x, y=None):
     """Green function G(x,y) of -Lap on T^2 with -Lap G = delta - 1, zero mean.
 
-    Evaluated through the cylinder kernel -log(4(sin^2 pi dx + sinh^2 pi dy))/4pi
-    plus an exponentially convergent Fourier correction; absolute error below
-    1e-12 everywhere.  Accepts points or arrays; y may be omitted when x
-    already holds displacements.
+    Evaluated as the cylinder kernel -log(4(sin^2 pi dx + sinh^2 pi dy))/4pi
+    times the theta product of its periodic images, exact to round-off.
+    Accepts points or arrays; y may be omitted when x already holds displacements.
     """
     dx, dy, s2 = _separation(x, y)
     return _green_raw(np.cos(2.0 * np.pi * dx), dy, s2)[()]
 
 
 def green_regular_origin():
-    """R(0) where R(z) = G(z) + log|z|/(2 pi) is the smooth remainder."""
-    tail = 2.0 * np.exp(-2.0 * np.pi * _SERIES_M) * _SERIES_COEF
-    return -np.log(2.0 * np.pi) / (2.0 * np.pi) + 1.0 / 12.0 + float(tail.sum())
+    """R(0) where R(z) = G(z) + log|z|/(2 pi); the theta factor F_j is (1 - r^j)^4 there."""
+    tail = np.log1p(-_THETA_R).sum()
+    return -np.log(2.0 * np.pi) / (2.0 * np.pi) + 1.0 / 12.0 - float(tail) / np.pi
 
 
 def periodic_green_gradient(x, y=None):
-    """Gradient of G with respect to its first argument."""
+    """Gradient of G in its first argument: the logarithmic derivative of its theta product."""
     dx, dy, s2 = _separation(x, y)
-    s1 = np.sin(2.0 * np.pi * dx)
+    c, s1, sh = np.cos(2.0 * np.pi * dx), np.sin(2.0 * np.pi * dx), np.sinh(2.0 * np.pi * dy)
+    ch = 2.0 * s2 + c
     gx = -s1 / (4.0 * s2)
-    gy = -np.sinh(2.0 * np.pi * dy) / (4.0 * s2) + dy
-    sgn = np.sign(dy)
-    for m, (coef, c, s, p, q) in enumerate(_modes(np.cos(2.0 * np.pi * dx), dy, s1=s1), 1):
-        a = 2.0 * np.pi * m
-        gx -= (a * coef) * (s * (p + q))
-        gy += (a * coef) * (c * (sgn * (q - p)))
+    gy = -sh / (4.0 * s2) + dy
+    for r in _THETA_R:
+        f = (1.0 - r * r) ** 2 + 16.0 * r * r * s2 * s2 - 4.0 * r * (1.0 - r) ** 2 * ch * c
+        gx -= 2.0 * r * s1 * ((1.0 + r * r) * ch - 2.0 * r * c) / f
+        gy -= 2.0 * r * sh * (2.0 * r * ch - (1.0 + r * r) * c) / f
     return np.stack([gx, gy], axis=-1)
 
 
@@ -186,7 +176,7 @@ _LI_POWERS = 2 * np.arange(_POLYLOG_TERMS) + 3
 # images of the cylinder term of G2 are cos(2 pi m x) (A_m (p + q) + B_m u (p - q)),
 # p = e^(-a (1+u)), q = e^(-a (1-u)); their u-derivative is
 # cos(2 pi m x) (C_m (q - p) - D_m u (p + q)).
-_A2 = 2.0 * np.pi * _SERIES_M
+_A2 = 2.0 * np.pi * np.arange(1, _GREEN_SERIES_TERMS + 1)
 _R2 = np.exp(-_A2)
 _G2_A = (1.0 + _A2 / (1.0 - _R2)) / (2.0 * _A2**3 * (1.0 - _R2))
 _G2_B = 1.0 / (2.0 * _A2**2 * (1.0 - _R2))
@@ -228,7 +218,7 @@ def _green2_raw(dx, dy):
     li2, li3 = _polylogs((2.0 * np.pi) * (1j * dx - u))
     out = (1.0 / 30.0 - (u * (1.0 - u)) ** 2) / 24.0
     out += (li3.real + (2.0 * np.pi) * u * li2.real) / (16.0 * np.pi**3)
-    for m, (_, c, _, p, q) in enumerate(_modes(np.cos(2.0 * np.pi * dx), dy)):
+    for m, (c, _, p, q) in enumerate(_modes(np.cos(2.0 * np.pi * dx), dy)):
         out += c * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
     return out
 
@@ -243,7 +233,7 @@ def _green2_gradient_raw(dx, dy):
     gx = (2.0 * np.pi * u * log1q.imag - li2.imag) / (8.0 * np.pi**2)
     gu = u * log1q.real / (4.0 * np.pi) - u * (u - 0.5) * (u - 1.0) / 6.0
     x2 = 2.0 * np.pi * dx
-    for m, (_, c, s, p, q) in enumerate(_modes(np.cos(x2), dy, s1=np.sin(x2))):
+    for m, (c, s, p, q) in enumerate(_modes(np.cos(x2), dy, s1=np.sin(x2))):
         gx -= _A2[m] * s * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
         gu += c * (_G2_C[m] * (q - p) - _G2_D[m] * u * (p + q))
     return gx, np.sign(dy) * gu
@@ -303,10 +293,10 @@ def _diagonal_block_tables(n):
 
 def _pair_green(sx, cx, y, i, j, scratch):
     """G between markers i and j from their sin pi x, cos pi x and y, in `scratch`
-    (11 arrays shaped like the pairs): sin pi dx = sin pi x_i cos pi x_j - cos pi x_i
+    (6 arrays shaped like the pairs): sin pi dx = sin pi x_i cos pi x_j - cos pi x_i
     sin pi x_j needs no wrap, since only its square enters.  Coincident markers
     raise SingularityError."""
-    sn2, dy, s2 = scratch[:3]  # the series then runs in place from s2
+    sn2, dy, s2 = scratch[:3]  # the product then runs in place from s2
     np.multiply(sx[i], cx[j], out=sn2)
     sn2 -= cx[i] * sx[j]
     sn2 *= sn2
@@ -320,19 +310,18 @@ def _pair_green(sx, cx, y, i, j, scratch):
         raise SingularityError("Green function evaluated at coincident points")
     sn2 *= -2.0
     sn2 += 1.0  # cos 2 pi dx
-    terms = _series_terms(np.abs(dy).max())
-    return _green_raw(sn2, dy, s2, terms=terms, out=s2, scratch=scratch[3:])
+    return _green_raw(sn2, dy, s2, out=s2, scratch=scratch[3:])
 
 
 def assemble_single_layer(curve):
     """Dense single-layer kernel K with Kress log quadrature on the diagonal blocks:
     (S sigma)(x_i) = sum_j K_ij w_j sigma_j, w the arclength weights.
 
-    The kernel is symmetric: the Green series runs on the strict upper
-    triangle of each diagonal block and once on each cross block, from
-    per-marker sines and cosines.  All block temporaries share one scratch
-    allocation: once glibc has freed it, its dynamic mmap and trim thresholds
-    sit above it, so later calls reuse heap pages instead of faulting in new ones.
+    The kernel is symmetric: G runs on the strict upper triangle of each diagonal
+    block and once on each cross block, from per-marker sines and cosines.  All
+    block temporaries share one scratch allocation: once glibc has freed it, its
+    dynamic mmap and trim thresholds sit above it, so later calls reuse heap
+    pages instead of faulting in new ones.
     """
     slices = curve.loop_slices()
     weights = curve.arclength_weights()
@@ -340,7 +329,7 @@ def assemble_single_layer(curve):
     sx, cx, y = np.sin(np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0]), pts[:, 1]
     # the largest block: one triangle, or the cross block of the two largest loops
     ns = sorted((lp.n for lp in curve.components), reverse=True) + [0]
-    buf = np.empty((11, max(ns[0] * (ns[0] - 1) // 2, ns[0] * ns[1])))
+    buf = np.empty((6, max(ns[0] * (ns[0] - 1) // 2, ns[0] * ns[1])))
     kernel = np.empty((curve.n_markers, curve.n_markers))
     r0 = green_regular_origin()
     loops = list(zip(curve.components, slices))
@@ -357,7 +346,7 @@ def assemble_single_layer(curve):
     # cross-loop blocks: smooth kernel, plain trapezoid
     for a, (lpi, sli) in enumerate(loops):
         for lpj, slj in loops[a + 1:]:
-            scratch = buf[:, : lpi.n * lpj.n].reshape(11, lpi.n, lpj.n)
+            scratch = buf[:, : lpi.n * lpj.n].reshape(6, lpi.n, lpj.n)
             block = _pair_green(sx, cx, y, (sli, None), (None, slj), scratch)
             kernel[sli, slj] = block
             kernel[slj, sli] = block.T

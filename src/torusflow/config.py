@@ -102,7 +102,7 @@ def load_config(path=None, overrides=(), env=None):
             continue
         parts = key[len("TORUSFLOW_") :].lower().split("_", 1)
         if len(parts) != 2:
-            continue
+            raise ConfigError(f"environment variable {key} is not TORUSFLOW_<SECTION>_<KEY>")
         section, opt = parts
         if not cp.has_section(section):
             raise ConfigError(f"unknown config section '{section}' in {key}")

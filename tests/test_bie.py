@@ -11,7 +11,6 @@ from torusflow.bie import (
     _green_raw,
     _kress_log_weights,
     _separation,
-    _series_terms,
     assemble_single_layer,
     biharmonic_green_gradient,
     biharmonic_green_kernel,
@@ -66,17 +65,33 @@ def test_green_against_independent_fourier_sum():
         assert abs(periodic_green_kernel(p) - _fourier_sum_reference(*p)) < 1e-12
 
 
+def _fourier_gradient_reference(x, y, terms=800):
+    # the term-by-term derivative of _fourier_sum_reference
+    dx, dy = x - round(x), y - round(y)
+    u = abs(dy)
+    gx, gu = 0.0, u - 0.5
+    for m in range(1, terms + 1):
+        a = 2 * np.pi * m
+        scale = 2.0 / ((1 - np.exp(-a)) * 4 * np.pi * m)
+        km = scale * (np.exp(-a * u) + np.exp(-a * (1 - u)))
+        gx -= a * km * np.sin(a * dx)
+        gu += scale * a * (np.exp(-a * (1 - u)) - np.exp(-a * u)) * np.cos(a * dx)
+    return np.array([gx, np.sign(dy) * gu])
+
+
 @pytest.mark.parametrize(
     "p",
     [(0.3, 0.5), (0.3, -0.4999999), (-0.1, 0.49), (0.5, 0.2), (-0.4999999, 0.1),
      (0.4999, -0.3), (0.5, 0.5), (-0.4999999, -0.4999999)],
 )
 def test_green_raw_series_near_cell_edges(p):
-    # the recurrences for cos(2 pi m dx) and e^(-2 pi m (1 +- u)) with the
-    # assembly's truncation rule, where dx -> +-1/2 and |dy| -> 1/2
+    # the theta product for G and its logarithmic derivative for grad G against
+    # the Fourier series, where dx -> +-1/2 and |dy| -> 1/2
     dx, dy, s2 = _separation(np.array(p), None)
-    val = _green_raw(np.cos(2 * np.pi * dx), dy, s2, terms=_series_terms(abs(dy)))
+    val = _green_raw(np.cos(2 * np.pi * dx), dy, s2)
     assert abs(val - _fourier_sum_reference(*p)) < 1e-13
+    grad = periodic_green_gradient(np.array(p))
+    assert np.abs(grad - _fourier_gradient_reference(*p)).max() < 1e-13, grad
 
 
 def test_green_gradient_finite_differences():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -290,11 +291,20 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, overrides):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_env_var_of_unknown_section_is_config_error(tmp_path, monkeypatch, capsys):
-    # a misspelt section in the environment exits 2 like one in a file or a flag
-    monkeypatch.setenv("TORUSFLOW_FLWO_GAMMA", "5")
+@pytest.mark.parametrize(
+    "name, message",
+    [("TORUSFLOW_FLWO_GAMMA", "unknown config section 'flwo'"),
+     ("TORUSFLOW_GAMMA", "TORUSFLOW_GAMMA is not TORUSFLOW_<SECTION>_<KEY>")],
+    ids=["unknown_section", "no_key"],
+)
+def test_env_var_of_unknown_section_is_config_error(tmp_path, monkeypatch, capsys, name, message):
+    # a misspelt section, or a name with no key, in the environment exits 2
+    # like one in a file or a flag
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(None, env={name: "5"})
+    monkeypatch.setenv(name, "5")
     assert main(["simulate", "-o", f"output.dir={tmp_path}"]) == 2
-    assert "unknown config section 'flwo'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

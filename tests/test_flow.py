@@ -389,14 +389,34 @@ def test_ssd_second_order_in_time(curve, kind, gamma, t_end):
     assert orders[0] >= 1.8 and orders[1] >= 1.8, orders
 
 
-def test_ms_lamella_shift_decays_at_oracle_rate():
-    # gamma > 0 against an independent closed form: the k=2 lamella perturbed by
-    # its rigid-shift eigenvector of rate 40 at gamma = 10 (oracles.lamella_shift_rates)
-    gamma, n, dt = 10.0, 64, 1e-3
-    rates, vecs = oracles.lamella_shift_rates(2, 0.5, gamma)
+def test_ms_gamma_positive_run_converges_in_marker_count():
+    # a short gamma > 0 MS run of the mode-1 strip at 2x48, 2x96 and 2x192
+    # markers.  The perturbation is one Fourier mode, so the traces agree to
+    # round-off already at 48 per interface (measured: J to 1.3e-15, the
+    # dissipation to 6e-13 relative); every run takes its 20 fixed steps, so
+    # the advective cap never binds and the runs compare at the same times
+    dt = 1e-4
+    J, D = {}, {}
+    for n in (48, 96, 192):
+        curve = shapes.perturbed_strip(0.5, 1e-2, 1, n, which="both")
+        res = run(make_state(curve, "ms", gamma=10.0, params=FlowParams(dt=dt)), t_end=20 * dt)
+        assert res.event == "completed" and len(res.trace) == 21, (n, res.reason)
+        J[n], D[n] = res.trace.column("J"), res.trace.column("dissipation")
+    for n in (48, 96):
+        assert np.abs(J[n] - J[192]).max() < 1e-13, n
+        assert np.abs(D[n] - D[192]).max() < 1e-11 * np.abs(D[192]).max(), n
+
+
+@pytest.mark.parametrize("k, dt, rate_oracle", [(2, 1e-3, 40.0), (3, 2e-3, 20.0)])
+def test_ms_lamella_shift_decays_at_oracle_rate(k, dt, rate_oracle):
+    # gamma > 0 against an independent closed form: the k-strip lamella perturbed
+    # by a rigid-shift eigenvector of its slowest nonzero rate at gamma = 10
+    # (oracles.lamella_shift_rates); that rate is doubly degenerate at k = 2, 3
+    gamma, n = 10.0, 64
+    rates, vecs = oracles.lamella_shift_rates(k, 0.5, gamma)
     lam, v = rates[1], vecs[:, 1]
-    assert lam == pytest.approx(40.0, rel=1e-12)
-    base = shapes.lamella(2, h=0.5, n_per_loop=n)
+    assert lam == pytest.approx(rate_oracle, rel=1e-12)
+    base = shapes.lamella(k, h=0.5, n_per_loop=n)
     curve = shapes.graph_over(base, 1e-3 * np.repeat(v, n))
     res = run(make_state(curve, "ms", gamma=gamma, params=FlowParams(dt=dt)),
               t_end=120 * dt, snapshot_every=1)
