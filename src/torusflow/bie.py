@@ -17,8 +17,10 @@ G is the cylinder kernel times the Jacobi theta product of its periodic images,
 one log per entry; only G2 below, which has no product form, sums the images.
 
 The nonlocal potential v_E of the phase needs no grid either: its gradient on
-the curve is the single layer -2 S[nu], and its values and its Dirichlet
-energy come from the closed-form biharmonic Green function G2 (-Lap G2 = G).
+the curve is the single layer -2 S[nu], its values are fixed by one row per
+loop of the gradient of the closed-form biharmonic Green function G2
+(-Lap G2 = G), and its Dirichlet energy follows from those values, d_nu v_E
+and the single layer by Green's second identity.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.special import zeta
 
 from .errors import ResolutionError, SingularityError
-from .geometry import apply_symbol, curvature, spectral_factor
+from .geometry import apply_symbol, curvature, enclosed_area, spectral_factor
 
 # solve_jump refuses a system whose estimated 1-norm condition number exceeds this.
 COND_LIMIT = 1e12
 _GREEN_SERIES_TERMS = 12
-ENERGY_BLOCK_PAIRS = 1 << 16  # at most this many pairs per row block of potential_energy
 # r^j = e^(-2 pi j): G's theta factor F_j = |1 - r^j e^(2 pi i z)|^2 |1 - r^j e^(-2 pi i z)|^2,
 # z = dx + i dy, is 1 to round-off past j = 5
 _THETA_R = np.exp(-2.0 * np.pi * np.arange(1, 6))
@@ -153,25 +154,13 @@ _ZETA3 = float(zeta(3.0))
 # part is r^2 log r / (8 pi), so its correction is this constant times w^3 phi(0).
 _ZETA_R2LOG = 2.0 * (-_ZETA3 / (4.0 * np.pi**2)) / (8.0 * np.pi)
 _POLYLOG_TERMS = 48
-
-
-def _polylog_tables():
-    """Coefficients a_j = zeta(-1-2j)/(2j+3)! and b_j = a_j/(2j+4) of the log-series
-    Li2(e^mu) = zeta(2) + mu (1 - log(-mu)) - mu^2/4 + mu^3 sum_j a_j mu^2j and
-    Li3(e^mu) = zeta(3) + zeta(2) mu + mu^2 (3/2 - log(-mu))/2 - mu^3/12
-                + mu^4 sum_j b_j mu^2j,   |mu| < 2 pi,
-    with zeta(-1-2j) from the functional equation, built once and read-only."""
-    j = np.arange(_POLYLOG_TERMS)
-    a = (2.0 * (-1.0) ** (j + 1) * zeta(2.0 * j + 2.0)
-         / ((2.0 * np.pi) ** (2 * j + 2) * (2 * j + 2) * (2 * j + 3)))
-    b = a / (2 * j + 4)
-    for arr in (a, b):
-        arr.flags.writeable = False
-    return a, b
-
-
-_LI_A, _LI_B = _polylog_tables()
+# Coefficients a_j = zeta(-1-2j)/(2j+3)! of the log-series Li2(e^mu) = zeta(2) +
+# mu (1 - log(-mu)) - mu^2/4 + mu^3 sum_j a_j mu^2j, |mu| < 2 pi, with
+# zeta(-1-2j) from the functional equation; read-only.
 _LI_POWERS = 2 * np.arange(_POLYLOG_TERMS) + 3
+_LI_A = (2.0 * (-1.0) ** (_LI_POWERS // 2) * zeta(_LI_POWERS - 1.0)
+         / ((2.0 * np.pi) ** (_LI_POWERS - 1) * (_LI_POWERS - 1) * _LI_POWERS))
+_LI_A.flags.writeable = False
 # Per m = 1.._GREEN_SERIES_TERMS, with a = 2 pi m and r = e^(-a): the periodic
 # images of the cylinder term of G2 are cos(2 pi m x) (A_m (p + q) + B_m u (p - q)),
 # p = e^(-a (1+u)), q = e^(-a (1-u)); their u-derivative is
@@ -184,51 +173,30 @@ _G2_C = 1.0 / (2.0 * _A2 * (1.0 - _R2) ** 2)
 _G2_D = 1.0 / (2.0 * _A2 * (1.0 - _R2))
 
 
-def _polylogs(mu, third=True):
-    """(Li2(e^mu), Li3(e^mu) or None) by the log-series, for 0 < |mu| < 2 pi.
+def _li2(mu):
+    """Li2(e^mu) by the log-series, for 0 < |mu| < 2 pi.
 
-    The series converge geometrically in |mu|/2pi, at most 1/sqrt(2) on the
-    wrapped cell; they are summed while a_j |mu|^(2j+3) exceeds 1e-16.
+    The series converges geometrically in |mu|/2pi, at most 1/sqrt(2) on the
+    wrapped cell; it is summed while a_j |mu|^(2j+3) exceeds 1e-16.
     """
     mu_max = float(np.abs(mu).max())
     terms = max(2, int(np.count_nonzero(np.abs(_LI_A) * mu_max ** _LI_POWERS > 1e-16)) + 1)
     z = mu * mu
     p2 = np.full_like(mu, _LI_A[terms - 1])
-    p3 = np.full_like(mu, _LI_B[terms - 1]) if third else None
     for j in range(terms - 2, -1, -1):
         p2 *= z
         p2 += _LI_A[j]
-        if third:
-            p3 *= z
-            p3 += _LI_B[j]
-    log_m = np.log(-mu)
-    mu3 = z * mu
-    li2 = _ZETA2 + mu * (1.0 - log_m) - 0.25 * z + mu3 * p2
-    if not third:
-        return li2, None
-    li3 = _ZETA3 + _ZETA2 * mu + 0.5 * z * (1.5 - log_m) - mu3 / 12.0 + (mu3 * mu) * p3
-    return li2, li3
-
-
-def _green2_raw(dx, dy):
-    """G2 from wrapped displacements, not at the origin: the mode-0 term
-    -B4(u)/24, the cylinder sum Re[Li3(q) + 2 pi u Li2(q)]/(16 pi^3) with
-    u = |dy| and q = e^(2 pi i (dx + i u)), and the periodic images."""
-    u = np.abs(dy)
-    li2, li3 = _polylogs((2.0 * np.pi) * (1j * dx - u))
-    out = (1.0 / 30.0 - (u * (1.0 - u)) ** 2) / 24.0
-    out += (li3.real + (2.0 * np.pi) * u * li2.real) / (16.0 * np.pi**3)
-    for m, (c, _, p, q) in enumerate(_modes(np.cos(2.0 * np.pi * dx), dy)):
-        out += c * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
-    return out
+    return _ZETA2 + mu * (1.0 - np.log(-mu)) - 0.25 * z + (z * mu) * p2
 
 
 def _green2_gradient_raw(dx, dy):
-    """(d_x G2, d_y G2) from wrapped displacements, not at the origin; the
-    cylinder sum differentiates to Li2(q) and log(1 - q)."""
+    """(d_x G2, d_y G2) from wrapped displacements, not at the origin: G2 is
+    -B4(u)/24 + Re[Li3(q) + 2 pi u Li2(q)]/(16 pi^3) plus its periodic images,
+    u = |dy| and q = e^(2 pi i (dx + i u)), so the cylinder sum differentiates
+    to Li2(q) and log(1 - q)."""
     u = np.abs(dy)
     mu = (2.0 * np.pi) * (1j * dx - u)
-    li2, _ = _polylogs(mu, third=False)
+    li2 = _li2(mu)
     log1q = np.log(-np.expm1(mu))
     gx = (2.0 * np.pi * u * log1q.imag - li2.imag) / (8.0 * np.pi**2)
     gu = u * log1q.real / (4.0 * np.pi) - u * (u - 0.5) * (u - 1.0) / 6.0
@@ -239,27 +207,10 @@ def _green2_gradient_raw(dx, dy):
     return gx, np.sign(dy) * gu
 
 
-def biharmonic_green_kernel(x, y=None):
-    """G2(x - y) with -Lap G2 = G and zero mean, i.e. the Fourier series
-    sum_(k != 0) e^(2 pi i k.x) / (16 pi^4 |k|^4), in closed form.
-
-    G2 is finite at the origin (its singular part is r^2 log r / 8pi) but,
-    like `periodic_green_kernel`, is evaluated only at distinct points; see
-    `biharmonic_green_origin`.
-    """
-    dx, dy, _ = _separation(x, y)
-    return _green2_raw(dx, dy)
-
-
 def biharmonic_green_gradient(x, y=None):
-    """Gradient of G2 with respect to its first argument."""
+    """Gradient of G2 (-Lap G2 = G, zero mean) with respect to its first argument."""
     dx, dy, _ = _separation(x, y)
     return np.stack(_green2_gradient_raw(dx, dy), axis=-1)
-
-
-def biharmonic_green_origin():
-    """G2(0) = 1/720 + zeta(3)/(16 pi^3) plus the periodic images at u = 0."""
-    return 1.0 / 720.0 + _ZETA3 / (16.0 * np.pi**3) + float(np.sum(2.0 * _R2 * _G2_A))
 
 
 def _kress_log_weights(n):
@@ -365,6 +316,13 @@ def potential_gradient(curve, kernel):
     return -2.0 * np.column_stack([kernel @ (w * nu[:, 0]), kernel @ (w * nu[:, 1])])
 
 
+def _first_rows(curve):
+    """Each loop's first marker p, and the (row, marker) pairs of the markers j != p."""
+    firsts = np.array([sl.start for sl in curve.loop_slices()])
+    r, j = np.nonzero(np.arange(curve.n_markers)[None, :] != firsts[:, None])
+    return firsts, r, j
+
+
 def potential_trace(curve, gradient, kappa):
     """v_E at the markers, with no grid.
 
@@ -377,44 +335,41 @@ def potential_trace(curve, gradient, kappa):
     `kappa` is the curvature at the markers.
     """
     pts, nu, w = curve.markers(), curve.normals(), curve.arclength_weights()
-    slices = curve.loop_slices()
-    firsts = np.array([sl.start for sl in slices])
-    # row r runs over the markers j other than its own first marker
-    r, j = np.nonzero(np.arange(curve.n_markers)[None, :] != firsts[:, None])
+    firsts, r, j = _first_rows(curve)
     dx, dy, _ = _separation(pts[firsts[r]], pts[j])
     gx, gy = _green2_gradient_raw(dx, dy)
     rows = 2.0 * (np.bincount(r, weights=w[j] * (gx * nu[j, 0] + gy * nu[j, 1]))
                   - _ZETA_R2LOG * w[firsts] ** 3 * kappa[firsts])
     dv_ds = nu[:, 0] * gradient[:, 1] - nu[:, 1] * gradient[:, 0]  # tau = (-nu_y, nu_x)
     trace = np.empty(curve.n_markers)
-    for lp, sl, value in zip(curve.components, slices, rows):
+    for lp, sl, value in zip(curve.components, curve.loop_slices(), rows):
         dv_da = dv_ds[sl] * w[sl] * (lp.n / (2.0 * np.pi))
         shape = apply_symbol(dv_da, spectral_factor(lp.n, -1))
         trace[sl] = shape + (value - shape[0])
     return trace
 
 
-def potential_energy(curve):
-    """int |Dv_E|^2 = 4 int int nu.nu' G2(x - x') ds ds', with no grid.
+def potential_energy(curve, kernel, trace, derivative):
+    """int |Dv_E|^2 = 2 int_E v_E from data on the curve, with no grid.
 
-    The double integral is summed on one triangle, in row blocks of at most
-    ENERGY_BLOCK_PAIRS pairs (one block up to 256 markers); the zeta-corrected
-    trapezoid rule adds 2 zeta'(-2) w_i^3/8pi to each marker's inner integral
-    for the r^2 log r / 8pi singularity of G2.
+    Green's second identity on E against G(. - p), at a marker p where half
+    of the point mass of -Lap G lies in E, gives
+    int_E v_E = (m - 1/2) v_p + DL[v_E](p) - S[d_nu v_E](p), m = |E|.  The
+    double layer of the constant v_p is (m - 1/2) v_p, so subtracting it
+    leaves the smooth integrand (v_E - v_p) d_nu G(. - p), which vanishes at
+    p and takes the plain trapezoid rule; the single layer is row p of
+    `kernel` (`assemble_single_layer(curve)`).  The result is averaged over
+    each loop's first marker.  `trace` is v_E (`potential_trace`) and
+    `derivative` is d_nu v_E at the markers.
     """
     pts, nu, w = curve.markers(), curve.normals(), curve.arclength_weights()
-    n = curve.n_markers
-    rows = max(1, ENERGY_BLOCK_PAIRS // n)
-    off = 0.0
-    for r0 in range(0, n, rows):
-        # rows r0..r0+rows of the upper triangle np.triu_indices(n, 1)
-        iu, ju = np.triu_indices(min(rows, n - r0), r0 + 1, n)
-        iu += r0
-        dx, dy, _ = _separation(pts[iu], pts[ju])
-        pairs = _green2_raw(dx, dy) * (nu[iu, 0] * nu[ju, 0] + nu[iu, 1] * nu[ju, 1])
-        off += float(np.sum(w[iu] * w[ju] * pairs))
-    diag = float(np.sum(w**2 * (biharmonic_green_origin() + _ZETA_R2LOG * w**2)))
-    return 4.0 * (2.0 * off + diag)
+    firsts, r, j = _first_rows(curve)
+    vp = trace[firsts]
+    grad = periodic_green_gradient(pts[j], pts[firsts[r]])
+    dl = np.bincount(r, weights=w[j] * (trace[j] - vp[r])
+                     * (grad[:, 0] * nu[j, 0] + grad[:, 1] * nu[j, 1]))
+    sl = kernel[firsts] @ (w * derivative)
+    return 2.0 * float(np.mean((2.0 * enclosed_area(curve) - 1.0) * vp + dl - sl))
 
 
 def adjoint_double_layer(curve):

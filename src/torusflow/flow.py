@@ -167,9 +167,9 @@ class Evaluation:
     D = int |Dw|^2 and J = perimeter + gamma int |Dv_E|^2.  SD: V = Lap_tau H,
     D = int |d_s H|^2 and J = perimeter.  No grid is involved: the trace of v_E
     comes from the single layer and one biharmonic-Green row per loop, and the
-    nonlocal energy, read only at records, from the biharmonic Green function
-    (`bie`).  `variation` and `diagnostics` read the criticality residual,
-    d_nu v_E and the single-layer kernel.
+    nonlocal energy, read only at records, from the trace, d_nu v_E and the
+    single layer by Green's identity (`bie`).  `variation` and `diagnostics`
+    read the criticality residual, d_nu v_E and the single-layer kernel.
     """
 
     def __init__(self, curve, flow_kind, gamma=0.0):
@@ -203,12 +203,16 @@ class Evaluation:
         return g[:, 0] * nu[:, 0] + g[:, 1] * nu[:, 1]
 
     @cached_property
+    def potential(self):
+        """v_E at the markers (`bie.potential_trace`)."""
+        return bie.potential_trace(self.curve, self.potential_gradient, self.kappa)
+
+    @cached_property
     def datum(self):
         """H + 4 gamma v_E at the markers, the Dirichlet datum of the MS flow."""
         if self.gamma == 0.0:
             return self.kappa
-        trace = bie.potential_trace(self.curve, self.potential_gradient, self.kappa)
-        return self.kappa + 4.0 * self.gamma * trace
+        return self.kappa + 4.0 * self.gamma * self.potential
 
     @cached_property
     def criticality(self):
@@ -241,7 +245,8 @@ class Evaluation:
         """gamma int |Dv_E|^2."""
         if self.flow_kind == "sd" or self.gamma == 0.0:
             return 0.0
-        return self.gamma * bie.potential_energy(self.curve)
+        return self.gamma * bie.potential_energy(
+            self.curve, self.kernel, self.potential, self.potential_derivative)
 
     @cached_property
     def perimeter(self):

@@ -87,7 +87,8 @@ def perturbed_circle(r, eps, mode, center=(0.5, 0.5), n=256):
     pts = np.column_stack(
         [center[0] + rho * np.cos(theta), center[1] + rho * np.sin(theta)]
     )
-    return resample_equal_arclength(PeriodicCurve([MarkerLoop(pts, (0, 0))]), n)
+    # the resampled curve is the one validated
+    return resample_equal_arclength(PeriodicCurve([MarkerLoop(pts, (0, 0))], check=False), n)
 
 
 def perturbed_strip(h, eps, mode, offset=0.0, n=256, which="top"):
@@ -106,7 +107,7 @@ def perturbed_strip(h, eps, mode, offset=0.0, n=256, which="top"):
         psi[sl[1]] = eps * np.sin(2.0 * np.pi * mode * x[sl[1]])
     if which in ("bottom", "both"):
         psi[sl[0]] = eps * np.sin(2.0 * np.pi * mode * x[sl[0]])
-    return resample_equal_arclength(graph_over(base, psi), n)
+    return resample_equal_arclength(displace(base, psi[:, None] * base.normals()), n)
 
 
 def perturbed_lamella(k, eps, mode, h=0.5, n_per_loop=128):
@@ -114,7 +115,7 @@ def perturbed_lamella(k, eps, mode, h=0.5, n_per_loop=128):
     base = lamella(k, h=h, n_per_loop=n_per_loop)
     x = base.markers()[:, 0]
     psi = eps * np.sin(2.0 * np.pi * mode * x)
-    return resample_equal_arclength(graph_over(base, psi), n_per_loop)
+    return resample_equal_arclength(displace(base, psi[:, None] * base.normals()), n_per_loop)
 
 
 def with_area(curve, target):
@@ -130,7 +131,8 @@ def with_area(curve, target):
         delta = (target - enclosed_area(out)) / perimeter(out)
         if abs(delta) < 1e-15:
             break
-        out = graph_over(out, np.full(out.n_markers, delta))
+        out = displace(out, delta * out.normals())
+    out.validate()
     return out
 
 

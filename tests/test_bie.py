@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from torusflow import bie, shapes
+from g2_reference import green2, green2_origin, pair_energy
+from torusflow import shapes
 from torusflow.bie import (
     _diagonal_block_tables,
     _green_raw,
@@ -13,8 +14,6 @@ from torusflow.bie import (
     _separation,
     assemble_single_layer,
     biharmonic_green_gradient,
-    biharmonic_green_kernel,
-    biharmonic_green_origin,
     green_regular_origin,
     periodic_green_gradient,
     periodic_green_kernel,
@@ -158,13 +157,13 @@ def test_biharmonic_green_against_fourier_sum():
     # K = 400 sum to better than that sum moved from K = 200
     pts = _g2_points(7, 10)
     coarse, fine = _g2_fourier_sum(pts, 200), _g2_fourier_sum(pts, 400)
-    err = np.abs(biharmonic_green_kernel(pts) - fine).max()
+    err = np.abs(green2(pts) - fine).max()
     assert err < np.abs(fine - coarse).max() and err < 1e-11, err
 
 
 def test_biharmonic_green_origin_epstein():
     # G2(0) = sum' 1/(16 pi^4 |k|^4) = 4 zeta(2) beta(2) / (16 pi^4), beta(2) Catalan's constant
-    assert biharmonic_green_origin() == pytest.approx(CATALAN / (24.0 * np.pi**2), rel=1e-14)
+    assert green2_origin() == pytest.approx(CATALAN / (24.0 * np.pi**2), rel=1e-14)
 
 
 def test_biharmonic_green_laplacian_is_green():
@@ -172,7 +171,7 @@ def test_biharmonic_green_laplacian_is_green():
     pts, h = _g2_points(8, 30, min_norm=0.1), 1e-3
     lap = 0.0
     for e in (np.array([h, 0.0]), np.array([0.0, h])):
-        f = [biharmonic_green_kernel(pts + j * e) for j in (-2, -1, 0, 1, 2)]
+        f = [green2(pts + j * e) for j in (-2, -1, 0, 1, 2)]
         lap += (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
     assert np.abs(-lap - periodic_green_kernel(pts)).max() < 1e-9
 
@@ -180,7 +179,7 @@ def test_biharmonic_green_laplacian_is_green():
 def test_biharmonic_green_gradient_finite_differences():
     pts, h = _g2_points(9, 30), 1e-5
     fd = np.stack(
-        [(biharmonic_green_kernel(pts + e) - biharmonic_green_kernel(pts - e)) / (2 * h)
+        [(green2(pts + e) - green2(pts - e)) / (2 * h)
          for e in (np.array([h, 0.0]), np.array([0.0, h]))],
         axis=-1,
     )
@@ -191,14 +190,23 @@ def test_biharmonic_green_zero_mean_and_periodic():
     n = 256
     xs = (np.arange(n) + 0.5) / n
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    assert abs(biharmonic_green_kernel(np.stack([gx, gy], axis=-1)).mean()) < 1e-12
+    assert abs(green2(np.stack([gx, gy], axis=-1)).mean()) < 1e-12
     pts = _g2_points(10, 6)
-    g0 = biharmonic_green_kernel(pts)
+    g0 = green2(pts)
     for shift in ([1.0, 0.0], [0.0, 1.0], [-1.0, 2.0]):
-        assert np.abs(biharmonic_green_kernel(pts + shift) - g0).max() < 1e-15
+        assert np.abs(green2(pts + shift) - g0).max() < 1e-15
 
 
 # -- the grid-free v_E trace and energy ------------------------------------------
+
+
+def _energy(curve):
+    """int |Dv_E|^2 by Green's identity from the curve's single layer and v_E trace."""
+    kernel = assemble_single_layer(curve)
+    gradient = potential_gradient(curve, kernel)
+    trace = potential_trace(curve, gradient, curvature(curve))
+    derivative = np.sum(gradient * curve.normals(), axis=1)
+    return potential_energy(curve, kernel, trace, derivative)
 
 
 @pytest.mark.parametrize("h", [0.3, 0.4])
@@ -206,25 +214,36 @@ def test_potential_trace_and_energy_strip_oracles(h):
     st = shapes.strip(h, n=96)
     trace = potential_trace(st, potential_gradient(st, assemble_single_layer(st)), curvature(st))
     assert np.abs(trace - oracles.strip_boundary_potential(h)).max() <= 1e-12
-    assert abs(potential_energy(st) - oracles.strip_dirichlet_energy(h)) <= 1e-12
+    assert abs(_energy(st) - oracles.strip_dirichlet_energy(h)) <= 1e-12
 
 
 def test_potential_energy_converges_fourth_order():
-    # zeta-corrected trapezoid rule on the r^2 log r singularity of G2
-    energy = [potential_energy(shapes.perturbed_circle(0.2, 1e-2, 3, n=n)) for n in (64, 256, 512)]
+    energy = [_energy(shapes.perturbed_circle(0.2, 1e-2, 3, n=n)) for n in (64, 256, 512)]
     err64, err256 = abs(energy[0] - energy[2]), abs(energy[1] - energy[2])
     assert np.log(err64 / err256) / np.log(4.0) >= 4.0, (err64, err256)
 
 
-def test_potential_energy_row_blocks(monkeypatch):
-    # 192 markers (the bench strips) stay one block, so the sum is unchanged
-    # bit for bit; 1024 markers take 16 blocks and agree with one block to round-off
-    small = shapes.perturbed_strip(0.4, 1e-3, 1, n=96)
-    big = shapes.perturbed_strip(0.4, 1e-3, 1, n=512)
-    blocked = potential_energy(small), potential_energy(big)
-    monkeypatch.setattr(bie, "ENERGY_BLOCK_PAIRS", big.n_markers**2)
-    assert potential_energy(small) == blocked[0]
-    assert potential_energy(big) == pytest.approx(blocked[1], rel=1e-14, abs=0.0)
+@pytest.mark.parametrize(
+    "curve, rel",
+    [
+        (shapes.perturbed_strip(0.4, 1e-3, 1, n=96, which="both"), 1e-12),
+        (shapes.lamella(3, n_per_loop=64), 1e-12),
+        (shapes.lamella(4, n_per_loop=64), 1e-12),
+        # curved loops: the differences (measured 6.6e-12, 1.0e-9, 2.4e-9 and
+        # 2.0e-10) are the two rules' fifth-order errors, falling as n^-5 (the
+        # pair sum's on the strip and the lamella; the v_E trace's zeta-corrected
+        # constant shares the error on the disks)
+        (shapes.perturbed_lamella(4, 1e-3, 1, n_per_loop=64), 1.5e-11),
+        (shapes.perturbed_strip(0.3, 0.05, 2, n=96, which="both"), 2e-9),
+        (shapes.perturbed_circle(0.2, 1e-2, 3, n=128), 5e-9),
+        (shapes.two_disks(), 4e-10),
+    ],
+    ids=["strip", "lamella3", "lamella4", "perturbed-lamella4", "perturbed-strip", "circle",
+         "two-disks"],
+)
+def test_potential_energy_matches_g2_pair_sum(curve, rel):
+    # Green's identity on the single layer against the double integral of G2
+    assert _energy(curve) == pytest.approx(pair_energy(curve), rel=rel, abs=0.0)
 
 
 def test_potential_trace_refines_on_a_circle():

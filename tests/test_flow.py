@@ -182,7 +182,7 @@ def test_nonlocal_energy_only_at_records(monkeypatch):
 
     calls = []
     energy = bie_mod.potential_energy
-    monkeypatch.setattr(bie_mod, "potential_energy", lambda c: calls.append(1) or energy(c))
+    monkeypatch.setattr(bie_mod, "potential_energy", lambda *a: calls.append(1) or energy(*a))
     p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
     params = FlowParams(dt=2e-5)
     res = run(make_state(p, "ms", gamma=1.0, params=params), t_end=2 * 2e-5)
@@ -392,13 +392,14 @@ def test_ssd_second_order_in_time(curve, kind, gamma, t_end):
 def test_ms_gamma_positive_run_converges_in_marker_count():
     # a short gamma > 0 MS run of the mode-1 strip at 2x48, 2x96 and 2x192
     # markers.  The perturbation is one Fourier mode, so the traces agree to
-    # round-off already at 48 per interface (measured: J to 1.3e-15, the
-    # dissipation to 6e-13 relative); every run takes its 20 fixed steps, so
-    # the advective cap never binds and the runs compare at the same times
+    # round-off already at 48 per interface (measured: J to 4.7e-14 at 2x48 and
+    # 1.6e-14 at 2x96, the dissipation to 1.3e-14 relative); every run takes its
+    # 20 fixed steps, so the advective cap never binds and the runs compare at
+    # the same times
     dt = 1e-4
     J, D = {}, {}
     for n in (48, 96, 192):
-        curve = shapes.perturbed_strip(0.5, 1e-2, 1, n, which="both")
+        curve = shapes.perturbed_strip(0.5, 1e-2, 1, n=n, which="both")
         res = run(make_state(curve, "ms", gamma=10.0, params=FlowParams(dt=dt)), t_end=20 * dt)
         assert res.event == "completed" and len(res.trace) == 21, (n, res.reason)
         J[n], D[n] = res.trace.column("J"), res.trace.column("dissipation")
@@ -407,19 +408,27 @@ def test_ms_gamma_positive_run_converges_in_marker_count():
         assert np.abs(D[n] - D[192]).max() < 1e-11 * np.abs(D[192]).max(), n
 
 
-@pytest.mark.parametrize("k, dt, rate_oracle", [(2, 1e-3, 40.0), (3, 2e-3, 20.0)])
-def test_ms_lamella_shift_decays_at_oracle_rate(k, dt, rate_oracle):
+@pytest.mark.parametrize(
+    "k, dt, rate_oracle, gamma, steps",
+    [
+        pytest.param(2, 1e-3, 40.0, 10.0, 120, id="2-0.001-40.0"),
+        pytest.param(3, 2e-3, 20.0, 10.0, 120, id="3-0.002-20.0"),
+        # slow at small gamma: t = 3 is 3.5 decay times of 4 - 2 sqrt 2
+        pytest.param(4, 5e-2, 4.0 - 2.0 * np.sqrt(2.0), 1.0, 60, id="4-0.05-1.171573"),
+    ],
+)
+def test_ms_lamella_shift_decays_at_oracle_rate(k, dt, rate_oracle, gamma, steps):
     # gamma > 0 against an independent closed form: the k-strip lamella perturbed
-    # by a rigid-shift eigenvector of its slowest nonzero rate at gamma = 10
-    # (oracles.lamella_shift_rates); that rate is doubly degenerate at k = 2, 3
-    gamma, n = 10.0, 64
+    # by a rigid-shift eigenvector of its slowest nonzero rate
+    # (oracles.lamella_shift_rates); that rate is doubly degenerate at k = 2, 3, 4
+    n = 64
     rates, vecs = oracles.lamella_shift_rates(k, 0.5, gamma)
     lam, v = rates[1], vecs[:, 1]
     assert lam == pytest.approx(rate_oracle, rel=1e-12)
     base = shapes.lamella(k, h=0.5, n_per_loop=n)
     curve = shapes.graph_over(base, 1e-3 * np.repeat(v, n))
     res = run(make_state(curve, "ms", gamma=gamma, params=FlowParams(dt=dt)),
-              t_end=120 * dt, snapshot_every=1)
+              t_end=steps * dt, snapshot_every=1)
     assert res.event == "completed", res.reason
     sign = np.array([nu[:, 1].mean() for nu in base.split(base.normals())])
     y0 = np.array([lp.lift[:, 1].mean() for lp in base.components])
