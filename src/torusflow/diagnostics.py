@@ -40,14 +40,13 @@ class IdentityReport:
 
 
 def _relative(lhs, rhs, floor):
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
 
 
 def verify_first_identity(trace):
     """Centered -dJ/dt against the recorded dissipation, per interior record.
 
-    Returns a dict with the residual series and its max/median; the trace rows
-    gain their identity1_residual entries as a side effect.
+    Returns a dict with the residual series and its max/median.
     """
     if len(trace) < 3:
         raise ValueError("need at least 3 trace records")
@@ -55,13 +54,7 @@ def verify_first_identity(trace):
     J = trace.column("J")
     D = trace.column("dissipation")
     scale = RELATIVE_FLOOR * max(1.0, np.nanmax(np.abs(D)))
-    res = []
-    for i in range(1, len(t) - 1):
-        lhs = -(J[i + 1] - J[i - 1]) / (t[i + 1] - t[i - 1])
-        rel = _relative(lhs, D[i], scale)
-        trace.rows[i]["identity1_residual"] = rel
-        res.append(rel)
-    res = np.array(res)
+    res = _relative(-(J[2:] - J[:-2]) / (t[2:] - t[:-2]), D[1:-1], scale)
     return {
         "residuals": res,
         "max": float(res.max()),

@@ -14,8 +14,9 @@ class ResolutionError(TorusflowError):
 
 
 class OrientationError(TorusflowError):
-    """Loop orientations do not bound a phase: windings not null-homologous, a
-    coverage count spanning more than two values, or an area not in (0,1)."""
+    """Loop orientations do not bound a phase: windings not null-homologous, or
+    a coverage count spanning more than two values; an area not in (0,1) arises
+    only for a degenerate curve, whose line integrals sum to an integer."""
 
 
 class GraphFailure(TorusflowError):

@@ -6,7 +6,8 @@ symbol (-q^4 for surface diffusion, -2|q|^3 for Mullins-Sekerka) is applied
 through its exact exponential propagator in a Strang split around an explicit
 midpoint step for the lower-order remainder.  Stiffness imposes no step cap,
 so runs reach the decay time scale 1/lambda; every step is followed by a
-uniform-normal-offset volume correction.  The tests keep an explicit
+uniform-normal-offset volume correction (`geometry.enforce_volume`), and the
+corrected curve is the one validated and kept.  The tests keep an explicit
 Runge-Kutta scheme on marker positions as an independent reference.
 
 The step and the trace record read the flow law (V, the dissipation and the
@@ -31,8 +32,8 @@ from .geometry import (
     apply_symbol,
     arclength_derivative,
     curvature,
-    displace,
     enclosed_area,
+    enforce_volume,
     height_function,
     integrate_ds,
     perimeter,
@@ -65,7 +66,6 @@ class EnergyTrace:
     def append_row(self, kw):
         row = {k: kw.get(k, np.nan) for k in TRACE_COLUMNS}
         row["event"] = kw.get("event", "")
-        row["identity1_residual"] = kw.get("identity1_residual", np.nan)
         if self.rows and row["t"] <= self.rows[-1]["t"]:
             raise ValueError("trace times must increase strictly")
         self.rows.append(row)
@@ -94,8 +94,7 @@ class EnergyTrace:
                 kw = {}
                 for name, val in zip(header, parts):
                     kw[name] = val if name == "event" else float(val)
-                tr.rows.append({**{c: np.nan for c in TRACE_COLUMNS}, **kw,
-                                "identity1_residual": np.nan})
+                tr.rows.append({**{c: np.nan for c in TRACE_COLUMNS}, **kw})
         return tr
 
 
@@ -269,22 +268,6 @@ def adaptive_dt(state):
     return float(dt)
 
 
-def enforce_volume(curve, target_area):
-    """One safeguarded Newton step of a uniform normal offset onto the target area.
-
-    The derivative of the area with respect to a uniform offset is the
-    perimeter; the offset is clamped to a quarter marker spacing.  Returns the
-    corrected curve and the offset.
-    """
-    a = enclosed_area(curve)
-    per = perimeter(curve)
-    h = min(lp.length() / lp.n for lp in curve.components)
-    delta = float(np.clip((target_area - a) / per, -0.25 * h, 0.25 * h))
-    if delta == 0.0:
-        return curve, 0.0
-    return displace(curve, delta * curve.normals()), delta
-
-
 # -- SSD (tangent angle / length form) --------------------------------------------
 
 
@@ -402,12 +385,10 @@ def _ssd_step(state, dt):
 
 def step(state, dt):
     """Advance one SSD step (its tangential velocity keeps the markers
-    equidistributed), check the new curve, restore the volume."""
-    newc = _ssd_step(state, dt)
+    equidistributed), restore the volume and check the corrected curve, the
+    one the new state keeps."""
+    newc, delta = enforce_volume(_ssd_step(state, dt), state.target_area)
     newc.validate()
-    # the stepped state is built from the corrected curve, so its area check
-    # sees the area after the correction
-    newc, delta = enforce_volume(newc, state.target_area)
     return replace(state, time=state.time + dt, curve=newc, cached={"volume_correction": delta})
 
 

@@ -215,7 +215,8 @@ class MarkerLoop:
 
 
 class PeriodicCurve:
-    """Oriented interface on T^2: one or more disjoint marker loops."""
+    """Oriented interface on T^2: one or more disjoint marker loops.  With
+    check=False the loops may cross or bound no phase (see enclosed_area)."""
 
     def __init__(self, components, check=True):
         if not components:
@@ -265,7 +266,7 @@ class PeriodicCurve:
     @cached_property
     def _area(self):
         """See enclosed_area; computed once per (immutable) curve."""
-        return _phase_area(self)
+        return sum(lp._line_integral() for lp in self.components) % 1.0
 
     @cached_property
     def _tubular_radius(self):
@@ -294,7 +295,7 @@ class PeriodicCurve:
                 f"boundary is not null-homologous: windings sum to {total_winding}"
             )
         self._check_intersections()
-        enclosed_area(self)  # OrientationError on inconsistency
+        _check_orientation(self)
 
     def _check_intersections(self):
         a0, a1 = _all_segments(self)
@@ -470,22 +471,15 @@ def _off_markers(v, coords, step):
     return v
 
 
-def _phase_area(curve, y0=0.34078604706783, x0=0.21370586327156):
-    """Phase area of the curve's trigonometric interpolant, winding-aware.
+def _check_orientation(curve, y0=0.34078604706783, x0=0.21370586327156):
+    """OrientationError unless the loops' orientations bound one phase.
 
-    The column x in [x0, x0 + 1) covers chi_E(x, y0) - sum_j dir_j yhat_j of
-    E, over its crossings j with the curve (dir_j = sign dx, yhat_j =
-    (y_j - y0) mod 1).  Integrated over x by parts, yhat = y - y0 -
-    floor(y - y0) leaves per loop the line integral MarkerLoop._line_integral
-    and the step w_x floor(y_1 - y0) of its first marker, and from the base
-    row chi_E(., y0) only the integers floor(x_c - x0) at the polygon's row
-    crossings c; the terms y0 w_x - x0 w_y cancel over a null-homologous
-    curve.  The coverage count L, zero at (x0, y0) and rising by one across
-    the curve from its right to its left side, gives chi_E(x0, y0) = -min L:
-    the column x0 and the row y0 meet every winding loop, and a row through
-    its steepest segment every other loop they miss, so both sides of every
-    loop are seen, and the orientations are consistent exactly when the seen
-    L span two integers.  Every line misses the marker coordinates.
+    The coverage count L, zero at (x0, y0) and rising by one across the curve
+    from its right to its left side, is read along the column x0 and the row
+    y0, which meet every winding loop, and along a row through the steepest
+    segment of every other loop they miss, so both sides of every loop are
+    seen; the orientations are consistent exactly when the seen L span two
+    integers.  Every line misses the marker coordinates.
     """
     a, b = _all_segments(curve)
     d = b - a
@@ -513,19 +507,15 @@ def _phase_area(curve, y0=0.34078604706783, x0=0.21370586327156):
         raise OrientationError(
             f"loop orientations inconsistent: the coverage count spans {lo}..{hi}, not two values"
         )
-    area = -lo - float(np.sum(s * np.floor(x - x0)))
-    for lp in curve.components:
-        area += lp.winding[0] * float(np.floor(lp.lift[0, 1] - y0)) + lp._line_integral()
-    return area
 
 
 def enclosed_area(curve):
-    """Area of the phase E in (0,1), winding-aware and spectrally accurate.
-
-    One spectral line integral per loop plus integers read off one row of
-    the torus; the coverage count of _phase_area checks the orientations.
-    The area is computed once per curve; the range check runs at every call.
-    """
+    """Area of the phase E in (0,1), winding-aware and spectrally accurate:
+    the loops' line integrals summed mod 1 (whole-period moves of a lift or
+    of the cell change the sum by integers).  It is computed once per curve;
+    the range check runs at every call and fails only on a degenerate curve.
+    Orientations are `validate`'s check, so an unvalidated curve's value may
+    be no phase area."""
     area = curve._area
     if not 0.0 < area < 1.0:
         raise OrientationError(f"computed phase area {area:.6f} not in (0,1)")
@@ -547,6 +537,22 @@ def displace(curve, disp):
         ],
         check=False,
     )
+
+
+def enforce_volume(curve, target_area):
+    """One safeguarded Newton step of a uniform normal offset onto the target area.
+
+    The derivative of the area with respect to a uniform offset is the
+    perimeter; the offset is clamped to a quarter marker spacing.  Returns the
+    corrected (unvalidated) curve and the offset.
+    """
+    a = enclosed_area(curve)
+    per = perimeter(curve)
+    h = min(lp.length() / lp.n for lp in curve.components)
+    delta = float(np.clip((target_area - a) / per, -0.25 * h, 0.25 * h))
+    if delta == 0.0:
+        return curve, 0.0
+    return displace(curve, delta * curve.normals()), delta
 
 
 def signed_distance_points(curve, points):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import MarkerLoop, PeriodicCurve, displace, resample_equal_arclength
+from .geometry import MarkerLoop, PeriodicCurve, displace, enforce_volume, resample_equal_arclength
 
 
 def circle(r, center=(0.5, 0.5), n=256, phase="inside"):
@@ -119,19 +119,18 @@ def perturbed_lamella(k, eps, mode, h=0.5, n_per_loop=128):
 
 
 def with_area(curve, target):
-    """Uniform normal offset (Newton) matching the enclosed area to `target`.
+    """Uniform normal offset matching the enclosed area to `target`: up to four
+    `enforce_volume` Newton steps, stopping before one below 1e-15.
 
     Used to build volume-compatible perturbations of a reference set, per the
     |E_0| = |F| hypothesis of the stability theorems.
     """
-    from .geometry import enclosed_area, perimeter
-
     out = curve
     for _ in range(4):
-        delta = (target - enclosed_area(out)) / perimeter(out)
+        moved, delta = enforce_volume(out, target)
         if abs(delta) < 1e-15:
             break
-        out = displace(out, delta * out.normals())
+        out = moved
     out.validate()
     return out
 

@@ -64,3 +64,18 @@ def test_green_raw_span_covers_each_assembly_block():
     finally:
         TRACING.restore(undo)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "name,repeats",
+    [("sd_circle", 1), ("ms_strip", 1), ("ms_nonlocal", 1), ("stability_scan", 5)],
+)
+def test_workload_outputs_pass_their_gates(name, repeats):
+    # the benchmark's own correctness gates; five scan repeats cover every
+    # gamma of the scan, on both sides of gamma*
+    work = WORKLOADS[name]()
+    work.setup(0)
+    for _ in range(repeats):
+        _, outputs = work.repeat()
+        assert all(work.check(outputs))
+    assert work.gates and all(work.gates.values()), work.gates

@@ -221,10 +221,12 @@ def test_record_reads_state_area(monkeypatch):
     # a stepped state's area check computes the area its record reads, so each
     # step computes it twice: the volume correction and the state's check
     import torusflow.flow as flow_mod
+    import torusflow.geometry as geometry
 
     calls = []
     area = flow_mod.enclosed_area
-    monkeypatch.setattr(flow_mod, "enclosed_area", lambda c: calls.append(1) or area(c))
+    for module in (flow_mod, geometry):  # the state's check, the volume correction
+        monkeypatch.setattr(module, "enclosed_area", lambda c: calls.append(1) or area(c))
     st = make_state(shapes.perturbed_strip(0.5, 1e-3, 1, n=64), "sd",
                     params=FlowParams(dt=5e-5))
     calls.clear()
@@ -232,6 +234,27 @@ def test_record_reads_state_area(monkeypatch):
     assert res.event == "completed"
     assert len(calls) == 2 * 4
     assert res.trace.column("area")[-1] == area(res.state.curve) == res.state.area
+
+
+def test_step_validates_the_curve_it_keeps(monkeypatch):
+    # the volume correction moves the stepped curve, so the check runs after it:
+    # one intersection pass and one coverage count per step, both on the kept
+    # curve, and none in the new state's area check
+    import torusflow.geometry as geometry
+
+    validated, counted = [], []
+    validate, check_orientation = PeriodicCurve.validate, geometry._check_orientation
+    monkeypatch.setattr(PeriodicCurve, "validate", lambda c: validated.append(c) or validate(c))
+    monkeypatch.setattr(
+        geometry, "_check_orientation", lambda c: counted.append(c) or check_orientation(c)
+    )
+    st = make_state(shapes.perturbed_circle(0.2, 0.01, 3, n=64), "sd", params=FlowParams(dt=2e-6))
+    validated.clear()
+    counted.clear()
+    new = step(st, 2e-6)
+    assert new.cached["volume_correction"] != 0.0
+    assert len(validated) == 1 and validated[0] is new.curve
+    assert len(counted) == 1 and counted[0] is new.curve
 
 
 def test_run_determinism():

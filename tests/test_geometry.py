@@ -281,13 +281,13 @@ def test_enclosed_area_computed_once_per_curve(monkeypatch):
 
     loops = irregular_circle().components
     calls = []
-    phase_area = geometry._phase_area
+    line_integral = geometry.MarkerLoop._line_integral
 
-    def counting(curve):
-        calls.append(curve)
-        return phase_area(curve)
+    def counting(loop):
+        calls.append(loop)
+        return line_integral(loop)
 
-    monkeypatch.setattr(geometry, "_phase_area", counting)
+    monkeypatch.setattr(geometry.MarkerLoop, "_line_integral", counting)
     c = PeriodicCurve(loops, check=False)
     first = enclosed_area(c)
     assert enclosed_area(c) == first
@@ -585,11 +585,11 @@ def test_inconsistent_orientation_raises_on_the_reference_area(loops):
         check=False,
     )
     with pytest.raises(OrientationError):
-        enclosed_area(c)
+        c.validate()
 
 
-# the base point (x0, y0) of the phase area's column and row
-X0, Y0 = (inspect.signature(geometry._phase_area).parameters[k].default for k in ("x0", "y0"))
+# the base point (x0, y0) of the orientation check's column and row
+X0, Y0 = (inspect.signature(geometry._check_orientation).parameters[k].default for k in ("x0", "y0"))
 
 
 def complement(curve):

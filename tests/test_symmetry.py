@@ -1,0 +1,72 @@
+"""Flow equivariance: the flat torus's isometries commute with the SSD step.
+
+No closed form is needed: a step from the image of a curve must give the
+image of the step from the curve.  Both runs take 4 fixed-dt steps; the lifts
+of the two results must agree to C eps / rcond, with rcond the jump system's
+condition estimate on the start curve (`Evaluation.solution`), and J to 1e-12
+relative.
+"""
+
+import numpy as np
+import pytest
+
+from torusflow import shapes
+from torusflow.flow import Evaluation, FlowParams, make_state, step
+from torusflow.geometry import MarkerLoop, PeriodicCurve
+
+EPS = np.finfo(float).eps
+# measured at most 6.8e-5 eps / rcond over the cases below (lifts within 1.3e-15)
+C_LIFT = 1e-3
+J_REL = 1e-12
+ROT90 = np.array([[0, -1], [1, 0]])
+
+
+def translated(curve):
+    """The curve moved by a vector that is no lattice vector (nor a dyadic one)."""
+    return PeriodicCurve(
+        [MarkerLoop(lp.lift + (0.3172, 0.1289), lp.winding) for lp in curve.components]
+    )
+
+
+def rotated(curve):
+    """The curve turned by 90 degrees about (1/2, 1/2); windings turn with it."""
+    return PeriodicCurve(
+        [MarkerLoop((lp.lift - 0.5) @ ROT90.T + 0.5, ROT90 @ lp.winding) for lp in curve.components]
+    )
+
+
+CURVES = {
+    "perturbed_circle": lambda: shapes.perturbed_circle(0.2, 0.01, 3, n=128),
+    "perturbed_strip": lambda: shapes.perturbed_strip(0.5, 0.01, 2, n=96, which="both"),
+}
+FLOWS = {"ms_gamma0": ("ms", 0.0, 1e-4), "ms_gamma10": ("ms", 10.0, 1e-4), "sd": ("sd", 0.0, 2e-6)}
+
+
+def four_steps(curve, kind, gamma, dt):
+    """The curve after 4 steps of dt, and J there."""
+    st = make_state(curve, kind, gamma=gamma, params=FlowParams(dt=dt))
+    for _ in range(4):
+        st = step(st, dt)
+    ev = st.evaluation
+    return st.curve, ev.perimeter + ev.nonlocal_energy
+
+
+@pytest.mark.parametrize("transform", [translated, rotated], ids=["translation", "rotation90"])
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_step_commutes_with_torus_isometries(name, flow, transform):
+    curve = CURVES[name]()
+    kind, gamma, dt = FLOWS[flow]
+    rcond = Evaluation(curve, "ms").solution[2]
+    result, J = four_steps(curve, kind, gamma, dt)
+    result_of_image, J_image = four_steps(transform(curve), kind, gamma, dt)
+    image_of_result = transform(result)
+    # the step moves the curve by far more than the tolerance
+    moved = max(np.abs(a.lift - b.lift).max() for a, b in zip(curve.components, result.components))
+    assert moved > 1e-6
+    gap = max(
+        np.abs(a.lift - b.lift).max()
+        for a, b in zip(image_of_result.components, result_of_image.components)
+    )
+    assert gap <= C_LIFT * EPS / rcond
+    assert J_image == pytest.approx(J, rel=J_REL, abs=0.0)
