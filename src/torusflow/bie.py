@@ -63,9 +63,9 @@ def _separation(x, y):
     return dx, dy, s2
 
 
-def _modes(c1, dy, s1=None):
+def _modes(c1, dy, s1):
     """Yield (cos 2 pi m dx, sin 2 pi m dx, e^(-2 pi m (1+|dy|)), e^(-2 pi m (1-|dy|)))
-    for m = 1.._GREEN_SERIES_TERMS, from c1 = cos 2 pi dx and s1 = sin 2 pi dx or None.
+    for m = 1.._GREEN_SERIES_TERMS, from c1 = cos 2 pi dx and s1 = sin 2 pi dx.
 
     Two exp in all: the harmonics follow the Chebyshev recurrences c_(m+1) =
     2 c_1 c_m - c_(m-1) (first kind for cos, second kind for sin) and the
@@ -79,8 +79,7 @@ def _modes(c1, dy, s1=None):
         yield c, s, p, q
         if m + 1 < _GREEN_SERIES_TERMS:
             c_prev, c = c, two_c1 * c - c_prev
-            if s1 is not None:
-                s_prev, s = s, two_c1 * s - s_prev
+            s_prev, s = s, two_c1 * s - s_prev
             p, q = p * p1, q * q1
 
 
@@ -201,7 +200,7 @@ def _green2_gradient_raw(dx, dy):
     gx = (2.0 * np.pi * u * log1q.imag - li2.imag) / (8.0 * np.pi**2)
     gu = u * log1q.real / (4.0 * np.pi) - u * (u - 0.5) * (u - 1.0) / 6.0
     x2 = 2.0 * np.pi * dx
-    for m, (c, s, p, q) in enumerate(_modes(np.cos(x2), dy, s1=np.sin(x2))):
+    for m, (c, s, p, q) in enumerate(_modes(np.cos(x2), dy, np.sin(x2))):
         gx -= _A2[m] * s * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
         gu += c * (_G2_C[m] * (q - p) - _G2_D[m] * u * (p + q))
     return gx, np.sign(dy) * gu

@@ -23,6 +23,7 @@ from .config import (
     build_monitor,
     config_hash,
     load_config,
+    output_formats,
     _getfloat,
     _getfloats,
     _getint,
@@ -98,7 +99,7 @@ def cmd_simulate(cp):
     }
     with open(os.path.join(out, f"summary_{h}.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
-    if "svg" in cp.get("output", "formats"):
+    if "svg" in output_formats(cp):
         pos = darr > 0
         if np.count_nonzero(pos) >= 2:
             svgplot.line_plot(
@@ -146,7 +147,7 @@ def cmd_stability(cp):
         path = os.path.join(out, f"spectrum_{h}_gamma{g:g}.json")
         with open(path, "w") as fh:
             json.dump(d, fh, indent=2)
-        if "svg" in cp.get("output", "formats"):
+        if "svg" in output_formats(cp):
             svgplot.stem_plot(
                 os.path.join(out, f"spectrum_{h}_gamma{g:g}.svg"),
                 rep.eigenvalues,

@@ -123,7 +123,16 @@ def load_config(path=None, overrides=(), env=None):
             raise ConfigError(f"unknown config key '{section}.{unknown[0]}'")
     # no command reads [grid] n, but a malformed value is still a config error
     _getint_at_least(cp, "grid", "n", 1)
+    output_formats(cp)
     return cp
+
+
+def output_formats(cp):
+    """The items of output.formats, a comma list over csv, json and svg."""
+    items = {item.strip() for item in cp.get("output", "formats").split(",")}
+    if not items <= {"csv", "json", "svg"}:
+        raise ConfigError(f"output.formats may list only csv, json and svg, not {sorted(items)}")
+    return items
 
 
 def config_hash(cp):

@@ -15,7 +15,13 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ResolutionError
-from .geometry import _all_segments, signed_distance_points
+from .geometry import (
+    _all_segments,
+    _off_markers,
+    _row_crossings,
+    enclosed_area,
+    signed_distance_points,
+)
 
 # The indicator's erf transition spans about this many grid cells.
 INDICATOR_WIDTH = 1.5
@@ -53,90 +59,26 @@ def dirichlet_energy(field):
 
 
 def _crossing_fill(curve, n):
-    """Exact +-1 sign grid by line-crossing parity; column pass, then row pass
-    for columns the first pass cannot resolve (e.g. axis-parallel lamellae)."""
+    """Exact +-1 sign grid, +1 where `validate`'s coverage count L is larger.
+    The node rows are the integer rows of the curve scaled by n in y, so one
+    half-open `_row_crossings` call gives all their crossings.  L is read up
+    a column x0 off the markers and those crossings, so that no node row
+    meets the curve on it, then along each row by a cumsum."""
     a, b = _all_segments(curve)
-    sign = np.zeros((n, n))
-
-    def ceil_idx(x):
-        return np.ceil(x * n - 1e-9).astype(int)
-
-    def pass_axis(axis):
-        d = b - a
-        fw = d[:, axis] > 0
-        bw = d[:, axis] < 0
-        # half-open inclusion at the departure endpoint: each vertex crossing
-        # is counted exactly once, tangential touches not at all
-        m_lo = np.where(fw, ceil_idx(a[:, axis]), ceil_idx(b[:, axis]))
-        m_hi = np.where(fw, ceil_idx(b[:, axis]) - 1, ceil_idx(a[:, axis]) - 1)
-        m_lo[~(fw | bw)] = 0
-        m_hi[~(fw | bw)] = -1
-        counts = np.maximum(m_hi - m_lo + 1, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return None
-        seg_idx = np.repeat(np.arange(a.shape[0]), counts)
-        offs = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-        )
-        mm = m_lo[seg_idx] + offs
-        t = (mm / n - a[seg_idx, axis]) / d[seg_idx, axis]
-        other = a[seg_idx, 1 - axis] + t * d[seg_idx, 1 - axis]
-        col = np.mod(mm, n)
-        ycross = np.mod(other, 1.0)
-        direction = np.sign(d[seg_idx, axis])
-        out = np.zeros((n, n))
-        nodes = np.arange(n) / n
-        order = np.lexsort((ycross, col))
-        col, ycross, direction = col[order], ycross[order], direction[order]
-        starts = np.searchsorted(col, np.arange(n))
-        stops = np.searchsorted(col, np.arange(n) + 1)
-        for c in range(n):
-            if starts[c] == stops[c]:
-                continue
-            ys = ycross[starts[c] : stops[c]]
-            ds = direction[starts[c] : stops[c]]
-            idx = np.searchsorted(ys, nodes + 1e-15)
-            # inner normal is (tau_y, -tau_x) flipped: for x-lines (axis 0) the
-            # phase lies above a dx>0 crossing, for y-lines below a dy>0 one
-            orient = -1.0 if axis == 0 else 1.0
-            region_signs = orient * ds[0] * (-1.0) ** np.arange(len(ys) + 1)
-            vals = region_signs[idx]
-            if axis == 0:
-                out[c, :] = vals
-            else:
-                out[:, c] = vals
-        return out
-
-    colpass = pass_axis(0)
-    if colpass is not None:
-        sign = colpass
-    missing = sign == 0
-    if np.any(missing):
-        rowpass = pass_axis(1)
-        if rowpass is not None:
-            sign = np.where(missing & (rowpass != 0), rowpass, sign)
-    # a column with no axis-0 crossing is single-phase along y: copy the sign
-    # from any node the row pass resolved, else probe one representative node
-    holes = np.nonzero(np.any(sign == 0, axis=1))[0]
-    probe_cols = []
-    for c in holes:
-        col = sign[c]
-        nz = col[col != 0]
-        if nz.size:
-            sign[c, col == 0] = nz[0]
-        else:
-            probe_cols.append(c)
-    if probe_cols:
-        probe_cols = np.asarray(probe_cols)
-        reps = np.column_stack(
-            [probe_cols / n, np.full(probe_cols.size, 0.236067977)]
-        )
-        s = np.where(signed_distance_points(curve, reps) < 0, 1.0, -1.0)
-        sign[probe_cols, :] = s[:, None]
-    if np.any(sign == 0):
-        raise ResolutionError("rasterization could not resolve the phase sign")
-    return sign
+    a, d = a * (1.0, n), (b - a) * (1.0, n)
+    x, s, k = _row_crossings(a, d, 0.0)
+    x0 = _off_markers(0.0, np.concatenate([a[:, 0], x]), 0.0123456789)
+    yc, sc, _ = _row_crossings(a[:, ::-1], d[:, ::-1], x0)
+    # L rises up the column past a crossing with dx > 0 and falls along a row,
+    # going right from x0, past one with dy > 0
+    steps = np.zeros((n + 1, n))
+    steps[0] = np.cumsum(np.bincount(np.ceil(yc % n).astype(int), sc, n + 1)[:n])
+    i0 = int(np.ceil(x0 * n))
+    np.add.at(steps, (np.ceil((x0 + (x - x0) % 1.0) * n).astype(int) - i0, k % n), -s)
+    L = np.roll(np.cumsum(steps[:n], axis=0), i0, axis=0)
+    if L.min() == L.max():  # the curve misses every node: they lie in the larger phase
+        return np.full((n, n), 1.0 if enclosed_area(curve) > 0.5 else -1.0)
+    return np.where(L == L.max(), 1.0, -1.0)
 
 
 def signed_distance_grid(curve, grid_n):
@@ -151,17 +93,11 @@ def signed_distance_grid(curve, grid_n):
     return d.reshape(grid_n, grid_n)
 
 
-def asymmetry_distance(curve, reference, grid_n=256, d_ref=None):
-    """(D, |E Delta F|): distance-weighted and plain symmetric-difference areas.
-
-    D integrates |d_F| over the symmetric difference on the grid; d_ref may
-    carry a precomputed signed-distance field of the reference.
-    """
-    if d_ref is None:
-        d_ref = signed_distance_grid(reference, grid_n)
-    chi_e = _crossing_fill(curve, grid_n) > 0
-    chi_f = _crossing_fill(reference, grid_n) > 0
-    mask = chi_e != chi_f
+def asymmetry_distance(curve, reference, grid_n=256):
+    """(D, |E Delta F|): distance-weighted and plain symmetric-difference areas;
+    D integrates |d_F| over the symmetric difference on the grid."""
+    d_ref = signed_distance_grid(reference, grid_n)
+    mask = _crossing_fill(curve, grid_n) != _crossing_fill(reference, grid_n)
     D = float(np.mean(np.abs(d_ref) * mask))
     return D, float(np.mean(mask))
 
@@ -209,11 +145,10 @@ def rasterize_indicator(curve, n):
     """
     if n < 128:
         raise ResolutionError("rasterization grid must have n >= 128")
-    sign = _crossing_fill(curve, n)
     h = 1.0 / n
     cutoff = 4.0 * INDICATOR_WIDTH * h
     idx, d = _band_distances(curve, n, cutoff)
-    vals = sign.ravel().copy()
+    vals = _crossing_fill(curve, n).ravel()
     vals[idx] = -erf(np.sqrt(np.pi) * d / (INDICATOR_WIDTH * h))
     return vals.reshape(n, n)
 

@@ -449,19 +449,19 @@ def integrate_ds(curve, values):
 
 
 def _row_crossings(a, d, y0):
-    """x and sign(dy) of each crossing of the segments a + t d with the rows
-    y0 + Z, which miss every marker height."""
+    """(x, sign(dy), k) of each crossing of the segments a + t d with the rows
+    y0 + k, k integer, counted half-open: a segment meets the rows in [lo, hi)
+    of its heights, so a row is crossed once at a vertex the curve passes
+    through, not at all (or twice with opposite signs) where the curve only
+    touches it, and never by a horizontal segment."""
     dy = d[:, 1]
-    lo = np.minimum(a[:, 1], a[:, 1] + dy)
-    hi = np.maximum(a[:, 1], a[:, 1] + dy)
-    klo = np.ceil(lo - y0).astype(int)
-    khi = np.floor(hi - y0).astype(int)
-    counts = np.where(dy != 0.0, np.maximum(khi - klo + 1, 0), 0)
+    ka = np.ceil(a[:, 1] - y0).astype(int)
+    kb = np.ceil(a[:, 1] + dy - y0).astype(int)
+    klo, counts = np.minimum(ka, kb), np.abs(kb - ka)
     seg = np.repeat(np.arange(a.shape[0]), counts)
     kk = klo[seg] + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     t = (y0 + kk - a[seg, 1]) / dy[seg]
-    ok = (t > 0.0) & (t < 1.0)
-    return a[seg[ok], 0] + t[ok] * d[seg[ok], 0], np.sign(dy[seg[ok]])
+    return a[seg, 0] + t * d[seg, 0], np.sign(dy[seg]), kk
 
 
 def _off_markers(v, coords, step):
@@ -484,11 +484,11 @@ def _check_orientation(curve, y0=0.34078604706783, x0=0.21370586327156):
     a, b = _all_segments(curve)
     d = b - a
     x0 = _off_markers(x0, a[:, 0], 0.0123456789)
-    yc, sc = _row_crossings(a[:, ::-1], d[:, ::-1], x0)
+    yc, sc, _ = _row_crossings(a[:, ::-1], d[:, ::-1], x0)
     ys = np.concatenate([a[:, 1], yc])  # rows miss the column's crossings too
     y0 = _off_markers(y0, ys, 0.0123456789)
     uc = (yc - y0) % 1.0
-    x, s = _row_crossings(a, d, y0)
+    x, s, _ = _row_crossings(a, d, y0)
     seen = [np.zeros(1), np.cumsum(sc[np.argsort(uc)]), -np.cumsum(s[np.argsort((x - x0) % 1.0)])]
     for lp, sl in zip(curve.components, curve.loop_slices()):
         h = lp.lift[:, 1]
@@ -498,7 +498,7 @@ def _check_orientation(curve, y0=0.34078604706783, x0=0.21370586327156):
         if d[j, 1] == 0.0:
             raise TopologyError("closed loop without vertical extent")
         y = _off_markers(a[j, 1] + 0.5 * d[j, 1], ys, 1e-3 * d[j, 1])
-        xr, sr = _row_crossings(a, d, y)
+        xr, sr, _ = _row_crossings(a, d, y)
         base = np.sum(sc[uc < (y - y0) % 1.0])
         seen.append(base - np.cumsum(sr[np.argsort((xr - x0) % 1.0)]))
     seen = np.concatenate(seen)

@@ -103,6 +103,26 @@ def test_simulate_end_to_end(tmp_path):
     assert (tmp_path / f"dissipation_{h}.svg").exists()
 
 
+@pytest.mark.parametrize("formats", ["nosvg", "png"])
+def test_output_formats_outside_the_list_is_config_error(tmp_path, capsys, formats):
+    # output.formats is a comma list over csv, json and svg, not a substring
+    # test: 'nosvg' wrote SVGs and 'png' was accepted in silence
+    path = write_ini(tmp_path, SD_RUN.format(out=tmp_path))
+    assert main(["simulate", path, "-o", f"output.formats={formats}"]) == 2
+    assert "output.formats" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg")) and not list(tmp_path.glob("summary_*.json"))
+
+
+def test_svg_written_exactly_when_listed(tmp_path):
+    for formats, svg in [("csv,json", False), (" csv , svg", True)]:
+        out = tmp_path / formats.replace(",", "_").replace(" ", "")
+        path = write_ini(tmp_path, SD_RUN.format(out=out))
+        assert main(["simulate", path, "-o", f"output.formats={formats}"]) == 0
+        h = config_hash(load_config(path, overrides=[f"output.formats={formats}"]))
+        assert (out / f"summary_{h}.json").exists()
+        assert (out / f"dissipation_{h}.svg").exists() == svg
+
+
 def test_default_scenario_completes(tmp_path, capsys):
     # the package defaults alone (SSD, circle, SD, t_end=1e-3) must finish
     assert main(["simulate", "-o", f"output.dir={tmp_path}"]) == 0

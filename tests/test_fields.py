@@ -21,6 +21,7 @@ from torusflow.bie import potential_trace
 from torusflow.errors import ResolutionError
 from torusflow.fields import (
     _band_distances,
+    _crossing_fill,
     dirichlet_energy,
     interpolate_grid,
     potential_of_set,
@@ -29,6 +30,8 @@ from torusflow.fields import (
 )
 from torusflow.flow import Evaluation
 from torusflow.geometry import (
+    MarkerLoop,
+    PeriodicCurve,
     _all_segments,
     integrate_ds,
     signed_distance_points,
@@ -98,6 +101,35 @@ def test_band_matches_brute_force_distance(name, n):
     )
     assert np.all(np.isin(idx, cand))
     np.testing.assert_allclose(d, ref[np.searchsorted(cand, idx)], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("name", sorted(BAND_FIXTURES) + ["centred_thin_ellipse"])
+def test_fill_sign_matches_signed_distance(name, n):
+    # every node off the curve gets the phase of the signed distance; the thin
+    # ellipses' extreme markers sit on a node column, which a column-parity
+    # fill gets wrong over the whole column
+    if name == "centred_thin_ellipse":
+        curve = shapes.ellipse(0.25, 0.0625, center=(0.5, 0.5), n=128)
+    else:
+        curve = BAND_FIXTURES[name]()
+    xs = np.arange(n) / n
+    nodes = np.column_stack([np.repeat(xs, n), np.tile(xs, n)])
+    d = signed_distance_points(curve, nodes)
+    sign = _crossing_fill(curve, n).ravel()
+    off = np.abs(d) > 1e-12
+    np.testing.assert_array_equal(sign[off], np.where(d[off] < 0, 1.0, -1.0))
+
+
+def test_fill_of_a_curve_that_misses_every_node():
+    # a thin ellipse inside one grid cell leaves every node in the larger
+    # phase; a signed distance probe at a far node takes the wrong side of the
+    # complement's sharp tip here
+    n = 64
+    inside = shapes.ellipse(0.04 / n, 0.4 / n, center=(0.5 + 0.5 / n, 0.5 + 0.5 / n), n=16)
+    outside = PeriodicCurve([MarkerLoop(inside.components[0].lift[::-1], (0, 0))])
+    assert np.all(_crossing_fill(inside, n) == -1.0)
+    assert np.all(_crossing_fill(outside, n) == 1.0)
 
 
 def test_package_import_leaves_out_scipy_spatial():

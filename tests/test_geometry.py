@@ -615,6 +615,22 @@ def test_circle_through_the_base_point_has_its_area(side, r):
     assert enclosed_area(complement(c)) == pytest.approx(1.0 - np.pi * r * r, abs=1e-12)
 
 
+def test_row_crossings_count_half_open():
+    # rows y = k: the curve passes through the row 1 at the vertex (1, 1) and
+    # along the horizontal segment (5, 1)-(6, 1), touches the row 2 from below
+    # at (3, 2) and the row 1 at (8, 1), and the row 0 from above at (7, 0)
+    v = np.array([(0, -0.5), (1, 1), (2, 1.5), (3, 2), (4, 1.5), (5, 1), (6, 1), (7, 0), (8, 1)])
+    a = v.astype(float)
+    d = np.roll(a, -1, axis=0) - a
+    x, s, k = geometry._row_crossings(a, d, 0.0)
+    got = sorted(zip(k.tolist(), np.round(x, 12).tolist(), s.tolist()))
+    row0 = [(0, round(1 / 3, 12), 1.0), (0, round(8 / 3, 12), -1.0), (0, 7.0, -1.0), (0, 7.0, 1.0)]
+    assert got == sorted(row0 + [(1, 1.0, 1.0), (1, 5.0, -1.0)])
+    # the same rows seen from y0 = 1 come back with k one lower
+    x1, s1, k1 = geometry._row_crossings(a, d, 1.0)
+    assert sorted(zip((k1 + 1).tolist(), np.round(x1, 12).tolist(), s1.tolist())) == got
+
+
 def test_flat_closed_loop_is_refused():
     # a closed loop at one height, traveled out and back, has no steep segment
     # for a row to cross, and its collinear segments never cross each other

@@ -1,10 +1,12 @@
-"""Flow equivariance: the flat torus's isometries commute with the SSD step.
+"""Flow equivariance: the flat torus's isometries and marker relabelling
+commute with the SSD step, and the second-variation spectrum ignores them.
 
 No closed form is needed: a step from the image of a curve must give the
 image of the step from the curve.  Both runs take 4 fixed-dt steps; the lifts
 of the two results must agree to C eps / rcond, with rcond the jump system's
 condition estimate on the start curve (`Evaluation.solution`), and J to 1e-12
-relative.
+relative.  A reflection reverses the marker order (keeping the first marker
+first), so that E stays on the left of travel.
 """
 
 import numpy as np
@@ -13,12 +15,15 @@ import pytest
 from torusflow import shapes
 from torusflow.flow import Evaluation, FlowParams, make_state, step
 from torusflow.geometry import MarkerLoop, PeriodicCurve
+from torusflow.variation import assemble_second_variation, spectrum
 
 EPS = np.finfo(float).eps
 # measured at most 6.8e-5 eps / rcond over the cases below (lifts within 1.3e-15)
 C_LIFT = 1e-3
 J_REL = 1e-12
 ROT90 = np.array([[0, -1], [1, 0]])
+FLIP_X = np.array([[-1, 0], [0, 1]])
+SWAP = np.array([[0, 1], [1, 0]])
 
 
 def translated(curve):
@@ -32,6 +37,28 @@ def rotated(curve):
     """The curve turned by 90 degrees about (1/2, 1/2); windings turn with it."""
     return PeriodicCurve(
         [MarkerLoop((lp.lift - 0.5) @ ROT90.T + 0.5, ROT90 @ lp.winding) for lp in curve.components]
+    )
+
+
+def reflected(matrix):
+    """The map x -> matrix (x - 1/2) + 1/2 of an orientation-reversing lattice
+    matrix, with each loop's marker order reversed from its first marker."""
+
+    def transform(curve):
+        loops = []
+        for lp in curve.components:
+            lift, w = (lp.lift - 0.5) @ matrix.T + 0.5, matrix @ lp.winding
+            loops.append(MarkerLoop(np.vstack([lift[:1], lift[:0:-1] - w]), -w))
+        return PeriodicCurve(loops)
+
+    return transform
+
+
+def rolled(curve):
+    """Each loop's markers relabelled to start 5 markers later."""
+    return PeriodicCurve(
+        [MarkerLoop(np.vstack([lp.lift[5:], lp.lift[:5] + lp.winding]), lp.winding)
+         for lp in curve.components]
     )
 
 
@@ -51,10 +78,7 @@ def four_steps(curve, kind, gamma, dt):
     return st.curve, ev.perimeter + ev.nonlocal_energy
 
 
-@pytest.mark.parametrize("transform", [translated, rotated], ids=["translation", "rotation90"])
-@pytest.mark.parametrize("flow", sorted(FLOWS))
-@pytest.mark.parametrize("name", sorted(CURVES))
-def test_step_commutes_with_torus_isometries(name, flow, transform):
+def check_commutes(name, flow, transform):
     curve = CURVES[name]()
     kind, gamma, dt = FLOWS[flow]
     rcond = Evaluation(curve, "ms").solution[2]
@@ -70,3 +94,36 @@ def test_step_commutes_with_torus_isometries(name, flow, transform):
     )
     assert gap <= C_LIFT * EPS / rcond
     assert J_image == pytest.approx(J, rel=J_REL, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [translated, rotated, reflected(FLIP_X), reflected(SWAP)],
+    ids=["translation", "rotation90", "reflection_x", "reflection_diagonal"],
+)
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_step_commutes_with_torus_isometries(name, flow, transform):
+    check_commutes(name, flow, transform)
+
+
+@pytest.mark.parametrize("flow", ["ms_gamma0", "sd"])
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_step_commutes_with_marker_roll(name, flow):
+    # exact at gamma = 0 and in SD; at gamma > 0 the trace of v_E is anchored
+    # at each loop's first marker, which a roll moves
+    check_commutes(name, flow, rolled)
+
+
+@pytest.mark.parametrize(
+    "transform", [translated, rotated, rolled], ids=["translation", "rotation90", "roll"]
+)
+@pytest.mark.parametrize(
+    "curve, gamma",
+    [(shapes.circle(0.2, n=128), 0.0), (shapes.lamella(3, 0.5, 64), 10.0)],
+    ids=["circle_gamma0", "lamella3_gamma10"],
+)
+def test_spectrum_is_invariant(curve, gamma, transform):
+    lam = spectrum(assemble_second_variation(curve, gamma, n_modes=6)).eigenvalues
+    lam_image = spectrum(assemble_second_variation(transform(curve), gamma, n_modes=6)).eigenvalues
+    assert np.abs(lam_image - lam).max() <= 1e-12 * max(1.0, np.abs(lam).max())
