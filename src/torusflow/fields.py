@@ -18,6 +18,7 @@ from .errors import ResolutionError
 from .geometry import (
     _all_segments,
     _off_markers,
+    _outward,
     _row_crossings,
     enclosed_area,
     signed_distance_points,
@@ -107,8 +108,8 @@ def _band_distances(curve, n, cutoff):
 
     Each lifted segment scores the lifted nodes of its bounding box padded by
     `cutoff` (one span for all boxes), so no periodic images are needed; per
-    wrapped node, in ascending order, the nearest segment gives |d| and its side
-    the sign."""
+    wrapped node, in ascending order, the nearest segment gives |d| and the
+    side of its nearest point (geometry._outward) the sign."""
     a, b = _all_segments(curve)
     ab = b - a
     ab2 = np.sum(ab * ab, axis=1)
@@ -126,15 +127,15 @@ def _band_distances(curve, n, cutoff):
     near = dist <= cutoff
     flat = (np.mod(ix, n) * n)[:, :, None] + np.mod(iy, n)[:, None, :]
     flat, dist = flat[near], dist[near]
-    # cross > 0: the node lies left of travel, i.e. inside E, where d is negative
-    cross = (abx * diffy - aby * diffx)[near]
+    diff = np.column_stack([diffx[near], diffy[near]])
+    out = _outward(curve, ab, np.nonzero(near)[0], t[near], diff)
     best = np.full(n * n, np.inf)
     np.minimum.at(best, flat, dist)
     side = np.zeros(n * n)
     attains = dist == best[flat]
-    side[flat[attains]] = cross[attains]
+    side[flat[attains]] = out[attains]
     idx = np.nonzero(np.isfinite(best))[0]
-    return idx, best[idx] * np.where(side[idx] > 0, -1.0, 1.0)
+    return idx, best[idx] * np.where(side[idx] < 0, -1.0, 1.0)
 
 
 def rasterize_indicator(curve, n):

@@ -40,7 +40,7 @@ SPECTRAL_FILTER_REL = 1e-13
 RESAMPLE_TAIL_MAX = 1e-3
 RESAMPLE_PASSES = 3  # resampling passes at most; later ones tighten a far-from-arclength input
 DISTANCE_CHUNK = 4096  # points per brute-force block of signed_distance_points
-HEIGHT_TOL = 1e-10  # residual |x_curve - x_ref - t nu_ref| at which a height has converged
+HEIGHT_TOL = 1e-10  # residual |x_curve - x_ref - t nu_ref| after which one last update ends a solve
 
 
 @lru_cache(maxsize=128)
@@ -65,17 +65,28 @@ def apply_symbol(values, symbol):
 
 def _evaluate_spectrum(coeffs, n, alphas, orders, winding=0.0):
     """The trigonometric interpolant of n samples with half spectrum `coeffs`
-    (rfft / n) and its derivatives of the given orders at arbitrary alphas, all
-    from one table e^{ik alpha}, k = 0..n//2, built by a running product (error
-    ~ k eps); interior modes are doubled to stand in for their conjugates.  The
-    ramp alpha/2pi * winding of a lift is added back to orders 0 and 1."""
-    ek = np.full((alphas.size, coeffs.shape[0]), np.exp(1j * alphas)[:, None])
-    ek[:, 0] = 1.0
-    np.cumprod(ek, axis=1, out=ek)
-    c = np.array(coeffs, dtype=complex)
-    c[1 : (n + 1) // 2] *= 2.0
+    (rfft / n) and its derivatives of the given orders at arbitrary alphas;
+    interior modes are doubled to stand in for their conjugates.  The sum over
+    k = b l + j < K = n//2 + 1 runs baby-step giant-step (Paterson & Stockmeyer
+    1973) on running products e^{ij alpha}, j <= b = ceil(sqrt(K)), and
+    e^{ib l alpha}, with no (points x modes) table (error ~ k eps).  The ramp
+    alpha/2pi * winding of a lift is added back to orders 0 and 1."""
+    K = coeffs.shape[0]
+    b = int(np.ceil(np.sqrt(K)))
+    m = -(-K // b)
+    e = np.exp(1j * alphas)[None]  # powers along axis 0, points contiguous
+    baby = np.cumprod(np.vstack([np.ones_like(e), np.repeat(e, b, axis=0)]), axis=0)
+    giant = np.cumprod(np.vstack([np.ones_like(e), np.repeat(baby[b:], m - 1, axis=0)]), axis=0)
+    c = np.zeros((len(orders), m * b) + coeffs.shape[1:], dtype=complex)
+    for c_o, o in zip(c, orders):
+        c_o[:K] = (coeffs.T * spectral_factor(n, o)).T
+    c[:, 1 : (n + 1) // 2] *= 2.0
+    c = np.moveaxis(c.reshape(len(orders), m, b, -1), 2, -1)  # (orders, l, cols, j)
+    inner = (c.reshape(-1, b) @ baby[:b]).reshape(c.shape[:-1] + (alphas.size,))
+    out = np.einsum("lp,olcp->opc", giant, inner).real
     ramp = {0: np.multiply.outer(alphas / (2.0 * np.pi), winding), 1: winding / (2.0 * np.pi)}
-    return [(ek @ (c.T * spectral_factor(n, o)).T).real + ramp.get(o, 0.0) for o in orders]
+    shape = alphas.shape + coeffs.shape[1:]
+    return [v.reshape(shape) + ramp.get(o, 0.0) for v, o in zip(out, orders)]
 
 
 class MarkerLoop:
@@ -555,13 +566,26 @@ def enforce_volume(curve, target_area):
     return displace(curve, delta * curve.normals()), delta
 
 
+def _outward(curve, ab, seg, t, diff):
+    """diff . nu, positive outside E, for a point at offset diff from parameter
+    t of segment `seg` of _all_segments (ab = end - start).  nu is the outer
+    normal of the segment or, at t = 0 or 1, of the vertex: the sum of its two
+    segments' (Baerentzen & Aanaes 2005), right also past a sharp vertex."""
+    nu = np.column_stack([ab[:, 1], -ab[:, 0]]) / np.sqrt(np.sum(ab * ab, axis=1))[:, None]
+    ids = [np.arange(sl.start, sl.stop) for sl in curve.loop_slices()]
+    prev = np.concatenate([np.roll(i, 1) for i in ids])[seg]
+    nxt = np.concatenate([np.roll(i, -1) for i in ids])[seg]
+    nu = nu[seg] + (t == 0.0)[:, None] * nu[prev] + (t == 1.0)[:, None] * nu[nxt]
+    return np.einsum("pd,pd->p", diff, nu)
+
+
 def signed_distance_points(curve, points):
     """Signed torus distance to the interface, negative inside E.
 
     Brute force over all lifted segments with the displacement wrapped to the
     minimal image of each point-segment pair (segments are short, so the
-    nearest image is unique); the sign comes from the side of the nearest
-    segment, which is reliable for valid curves.
+    nearest image is unique); the sign is the side of the nearest curve point,
+    see _outward.
     """
     a, b = _all_segments(curve)
     ab = b - a
@@ -577,9 +601,8 @@ def signed_distance_points(curve, points):
         d2 = np.einsum("psd,psd->ps", diff, diff)
         j = np.argmin(d2, axis=1)
         rows = np.arange(p.shape[0])
-        cross = ab[j, 0] * diff[rows, j, 1] - ab[j, 1] * diff[rows, j, 0]
-        # cross > 0: point lies left of travel, i.e. inside E, where d is negative
-        out[lo : lo + DISTANCE_CHUNK] = np.sqrt(d2[rows, j]) * np.where(cross > 0, -1.0, 1.0)
+        side = _outward(curve, ab, j, t[rows, j], diff[rows, j])
+        out[lo : lo + DISTANCE_CHUNK] = np.sqrt(d2[rows, j]) * np.where(side < 0, -1.0, 1.0)
     return out
 
 
@@ -593,8 +616,11 @@ def height_function(curve, reference):
     """Height psi of `curve` over `reference`, sampled at the reference markers.
 
     Solves x_curve(alpha) = x_ref + t * nu_ref per reference marker by a
-    vectorized Newton iteration on (t, alpha); raises GraphFailure when a ray
-    misses the curve inside the tubular radius or the graph map folds.
+    vectorized Newton iteration on (t, alpha) from the nearest curve marker,
+    where the interpolant is read off the loop, and ending with the update
+    that brings every residual from below HEIGHT_TOL to round-off; raises
+    GraphFailure when a ray misses the curve inside the tubular radius or the
+    graph map folds.
     """
     if len(curve.components) != len(reference.components):
         raise GraphFailure("component count differs from reference")
@@ -611,18 +637,16 @@ def height_function(curve, reference):
         d2 *= -2.0
         d2 += np.sum(clift**2, axis=1)
         jstar = np.argmin(d2, axis=1)
+        del d2  # freed before the Newton loop allocates, or each call page-faults
         alpha = 2.0 * np.pi * jstar / lp_c.n
         t = np.einsum("id,id->i", clift[jstar] - base, nu)
         # unfiltered half spectrum of the offset lift
         n = lp_c.n
         coeffs = np.fft.rfft(clift - np.outer(np.arange(n) / n, lp_c.winding), axis=0) / n
-        converged = np.zeros(base.shape[0], dtype=bool)
+        x, dx = clift[jstar], lp_c.derivative(1)[jstar]
         for _ in range(60):
-            x, dx = _evaluate_spectrum(coeffs, n, alpha, (0, 1), lp_c.winding)
             F = x - base - t[:, None] * nu
             converged = np.linalg.norm(F, axis=1) < HEIGHT_TOL
-            if np.all(converged):
-                break
             # solve [ -nu, dx ] [dt, dalpha]^T = -F  (2x2 per marker)
             det = -nu[:, 0] * dx[:, 1] + nu[:, 1] * dx[:, 0]
             if np.any(np.abs(det) < 1e-14):
@@ -631,8 +655,11 @@ def height_function(curve, reference):
             da = (nu[:, 0] * F[:, 1] - nu[:, 1] * F[:, 0]) / det
             t = t + dt
             alpha = alpha + da
+            if np.all(converged):
+                break  # after the last update, which costs no evaluation
             if np.any(np.abs(t) > 2.0 * tub):
                 raise GraphFailure("normal ray leaves the tubular neighborhood")
+            x, dx = _evaluate_spectrum(coeffs, n, alpha, (0, 1), lp_c.winding)
         if not np.all(converged):
             raise GraphFailure("height solve did not converge")
         if np.any(np.abs(t) > tub):

@@ -1,13 +1,13 @@
 """Dense geometry kernels: test-side references for the off-marker
 evaluation, the height solve and the intersection test.
 
-The package evaluates loops off the markers on a half-spectrum table built by
-a running product, and draws the candidate pairs of its intersection test from
-a periodic cell list.  This module keeps the earlier dense versions for the
-tests to compare against: the evaluator and the height Newton loop form the
-full N x N table exp(i alpha k) over the complex FFT spectrum, and the
-intersection test forms every one of the N(N-1)/2 segment pairs.  All are
-O(N^2) in time and memory, and none uses the package's spectral helpers.
+The package evaluates loops off the markers by a baby-step giant-step sum
+over the half spectrum, and draws the candidate pairs of its intersection
+test from a periodic cell list.  This module keeps the earlier dense versions
+for the tests to compare against: the evaluator and the height Newton loop
+form the full N x N table exp(i alpha k) over the complex FFT spectrum, and
+the intersection test forms every one of the N(N-1)/2 segment pairs.  All
+are O(N^2) in time and memory, and none uses the package's spectral helpers.
 
 The package takes the phase area from one spectral line integral per loop
 and integers read off one row.  The earlier route, kept here, adds two
@@ -22,7 +22,6 @@ import numpy as np
 
 from torusflow.errors import GraphFailure, ResolutionError, TopologyError
 from torusflow.geometry import (
-    HEIGHT_TOL,
     SPECTRAL_FILTER_REL,
     _all_segments,
     apply_symbol,
@@ -30,6 +29,11 @@ from torusflow.geometry import (
     spectral_factor,
     tubular_radius,
 )
+
+
+# The oracle iterates to round-off, past the package's HEIGHT_TOL, so that its
+# own stopping point is not the difference it reports.
+DENSE_HEIGHT_TOL = 1e-14
 
 
 def _modes(n):
@@ -140,7 +144,7 @@ def height_function_dense(curve, reference):
             x = (ek @ coeffs).real + np.outer(alpha / (2 * np.pi), lp_c.winding)
             dx = (ek @ dcoeffs).real + lp_c.winding / (2 * np.pi)
             F = x - base - t[:, None] * nu
-            converged = np.linalg.norm(F, axis=1) < HEIGHT_TOL
+            converged = np.linalg.norm(F, axis=1) < DENSE_HEIGHT_TOL
             if np.all(converged):
                 break
             # solve [ -nu, dx ] [dt, dalpha]^T = -F  (2x2 per marker)

@@ -103,8 +103,19 @@ def test_band_matches_brute_force_distance(name, n):
     np.testing.assert_allclose(d, ref[np.searchsorted(cand, idx)], rtol=0, atol=1e-14)
 
 
+# coarse thin ellipses: the nearest curve point of many nodes is a tip marker
+# where the curve turns by more than 90 degrees, and the side of either segment
+# at the tip is the wrong sign there
+SHARP_TIPS = {
+    "coarse_thin_ellipse": lambda: shapes.ellipse(0.2594, 0.0262, center=(0.3856, 0.5605), n=64),
+    "needle_ellipse": lambda: shapes.ellipse(0.3, 0.01, n=64),
+}
+
+
 @pytest.mark.parametrize("n", [64, 128, 256])
-@pytest.mark.parametrize("name", sorted(BAND_FIXTURES) + ["centred_thin_ellipse"])
+@pytest.mark.parametrize(
+    "name", sorted(BAND_FIXTURES) + ["centred_thin_ellipse"] + sorted(SHARP_TIPS)
+)
 def test_fill_sign_matches_signed_distance(name, n):
     # every node off the curve gets the phase of the signed distance; the thin
     # ellipses' extreme markers sit on a node column, which a column-parity
@@ -112,13 +123,25 @@ def test_fill_sign_matches_signed_distance(name, n):
     if name == "centred_thin_ellipse":
         curve = shapes.ellipse(0.25, 0.0625, center=(0.5, 0.5), n=128)
     else:
-        curve = BAND_FIXTURES[name]()
+        curve = {**BAND_FIXTURES, **SHARP_TIPS}[name]()
     xs = np.arange(n) / n
     nodes = np.column_stack([np.repeat(xs, n), np.tile(xs, n)])
     d = signed_distance_points(curve, nodes)
     sign = _crossing_fill(curve, n).ravel()
     off = np.abs(d) > 1e-12
     np.testing.assert_array_equal(sign[off], np.where(d[off] < 0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("name", sorted(BAND_FIXTURES) + sorted(SHARP_TIPS))
+def test_band_sign_matches_fill(name, n):
+    # the erf profile across the interface keeps the phase of the exact fill
+    # at every band node off the curve
+    curve = {**BAND_FIXTURES, **SHARP_TIPS}[name]()
+    idx, d = _band_distances(curve, n, 4.0 * 1.5 / n)
+    off = idx[np.abs(d) > 1e-12]
+    u = rasterize_indicator(curve, n).ravel()
+    np.testing.assert_array_equal(np.sign(u[off]), _crossing_fill(curve, n).ravel()[off])
 
 
 def test_fill_of_a_curve_that_misses_every_node():

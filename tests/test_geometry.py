@@ -3,6 +3,7 @@
 import inspect
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,46 @@ def test_evaluate_matches_dense_reference(loop):
     for order in (0, 1, 2):
         out = loop.evaluate(alphas, order)
         assert np.abs(out - evaluate_dense(loop, alphas, order)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("cols", [None, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("points", [1, 40])
+def test_evaluate_spectrum_matches_direct_sum(n, cols, points):
+    # every mode k = 0..n//2 carries weight, so each giant step and each baby
+    # power is used; a 1-D spectrum (the resampling's speed) takes no winding,
+    # a 2-D one winds like a strip
+    rng = np.random.default_rng(n + points)
+    k = np.arange(n // 2 + 1)
+    shape = k.shape if cols is None else (k.size, cols)
+    decay = np.exp(-k / 4.0).reshape(k.shape + (1,) * (len(shape) - 1))
+    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * decay
+    winding = 0.0 if cols is None else np.array([1, 0])
+    alphas = rng.uniform(-3.0, 10.0, points)
+    doubled = coeffs.copy()
+    doubled[1 : (n + 1) // 2] *= 2.0
+    table = np.exp(1j * np.outer(alphas, k))
+    ramp = {0: np.multiply.outer(alphas / (2 * np.pi), winding), 1: winding / (2 * np.pi)}
+    orders = (-1, 0, 1, 2)
+    outs = geometry._evaluate_spectrum(coeffs, n, alphas, orders, winding)
+    for order, out in zip(orders, outs):
+        ref = (table @ (doubled.T * spectral_factor(n, order)).T).real + ramp.get(order, 0.0)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+def test_evaluate_builds_no_points_by_modes_table():
+    # 2048 points on 2048 markers: a complex (points x modes) table alone is 16.8 MB
+    loop = shapes.circle(0.2, n=2048).components[0]
+    alphas = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False) + 0.3
+    loop.evaluate(alphas[:2])  # the cached spectrum is not the evaluator's
+    tracemalloc.start()
+    try:
+        loop.evaluate(alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_resample_idempotent():
@@ -412,6 +453,30 @@ def test_height_matches_dense_reference(case):
     psi = height_function(curve, ref)
     assert np.abs(psi - height_function_dense(curve, ref)).max() <= 1e-14
     assert np.abs(psi).max() > 1e-3  # a genuine height, not the trivial zero
+
+
+def _rolled(curve, shift):
+    """The same curve with every loop's markers relabelled from marker `shift`."""
+    loops = [MarkerLoop(np.vstack([lp.lift[shift:], lp.lift[:shift] + lp.winding]), lp.winding)
+             for lp in curve.components]
+    return PeriodicCurve(loops)
+
+
+def _translated(curve, v):
+    return PeriodicCurve([MarkerLoop(lp.lift + v, lp.winding) for lp in curve.components])
+
+
+@pytest.mark.parametrize("case", ["circle", "perturbed_strip", "lamella_k4"])
+def test_height_invariant_under_roll_and_translation(case):
+    # the heights are a property of the two curves, not of the markers' labels
+    # or of where the pair sits on the torus
+    curve, ref = HEIGHT_CASES[case]()
+    psi = height_function(curve, ref)
+    for shift in (1, 5, 37):
+        assert np.abs(height_function(_rolled(curve, shift), ref) - psi).max() <= 1e-14
+    v = np.array([0.1372918, -0.2913477])
+    moved = height_function(_translated(curve, v), _translated(ref, v))
+    assert np.abs(moved - psi).max() <= 1e-14
 
 
 @pytest.mark.parametrize(
