@@ -455,13 +455,6 @@ def test_height_matches_dense_reference(case):
     assert np.abs(psi).max() > 1e-3  # a genuine height, not the trivial zero
 
 
-def _rolled(curve, shift):
-    """The same curve with every loop's markers relabelled from marker `shift`."""
-    loops = [MarkerLoop(np.vstack([lp.lift[shift:], lp.lift[:shift] + lp.winding]), lp.winding)
-             for lp in curve.components]
-    return PeriodicCurve(loops)
-
-
 def _translated(curve, v):
     return PeriodicCurve([MarkerLoop(lp.lift + v, lp.winding) for lp in curve.components])
 
@@ -473,7 +466,8 @@ def test_height_invariant_under_roll_and_translation(case):
     curve, ref = HEIGHT_CASES[case]()
     psi = height_function(curve, ref)
     for shift in (1, 5, 37):
-        assert np.abs(height_function(_rolled(curve, shift), ref) - psi).max() <= 1e-14
+        turned = PeriodicCurve([rolled(lp, shift) for lp in curve.components])
+        assert np.abs(height_function(turned, ref) - psi).max() <= 1e-14
     v = np.array([0.1372918, -0.2913477])
     moved = height_function(_translated(curve, v), _translated(ref, v))
     assert np.abs(moved - psi).max() <= 1e-14
