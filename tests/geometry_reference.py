@@ -91,8 +91,8 @@ def check_intersections_all_pairs(curve):
     ii, jj, shift = ii[close], jj[close], shift[close]
     same = loop_id[ii] == loop_id[jj]
     nloc = np.asarray(sizes)[loop_id]
-    # index neighbours share an endpoint, so the strict test below cannot see
-    # them cross; at the seam of a winding loop the shift is the winding and
+    # index neighbours share an endpoint, which the test below may count
+    # as a crossing; at the seam of a winding loop the shift is the winding and
     # the shared endpoint may come back one ulp off, so the shift is not asked
     gap = np.abs(idx[ii] - idx[jj])
     adjacent = same & ((gap == 1) | (gap == nloc[ii] - 1))
@@ -105,9 +105,13 @@ def check_intersections_all_pairs(curve):
             w[:, 0] - u[:, 0]
         )
 
+    # sides counted half-open, a point on a segment's line lying on its
+    # negative side: a segment passing exactly through a vertex of a crossing
+    # polyline crosses one of the vertex's two segments, and collinear
+    # segments never cross
     hit = (
-        (np.sign(ccw(p, q, r)) * np.sign(ccw(p, q, s)) < 0)
-        & (np.sign(ccw(r, s, p)) * np.sign(ccw(r, s, q)) < 0)
+        ((ccw(p, q, r) > 0) != (ccw(p, q, s) > 0))
+        & ((ccw(r, s, p) > 0) != (ccw(r, s, q) > 0))
         & ~adjacent
     )
     if np.any(hit):

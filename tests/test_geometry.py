@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -856,8 +856,10 @@ def test_winding_loop_seam_is_not_a_crossing(x0, eps):
 
 @FEW
 @given(st.floats(0.05, 0.3), st.floats(0.03, 0.2), st.floats(0.01, 0.5), st.integers(32, 128))
+@example(a=0.25, b=0.03125, phase=0.5, n=53)
 def test_self_crossing_loop_raises_in_both(a, b, phase, n):
-    # a figure eight crosses itself at its centre
+    # a figure eight crosses itself at its centre; at phase 0.5 and odd n a
+    # marker sits exactly on the centre, on the line of the segment crossing it
     t = 2 * np.pi * (np.arange(n) + phase) / n
     loop = MarkerLoop(np.column_stack([0.5 + a * np.sin(t), 0.5 + b * np.sin(2 * t)]), (0, 0))
     curve = PeriodicCurve([loop], check=False)
