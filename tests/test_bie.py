@@ -9,14 +9,13 @@ from g2_reference import green2, green2_origin, pair_energy
 from torusflow import shapes
 from torusflow.bie import (
     _diagonal_block_tables,
+    _green2_gradient_raw,
     _green_raw,
     _kress_log_weights,
     _separation,
     assemble_single_layer,
-    biharmonic_green_gradient,
     green_regular_origin,
     periodic_green_gradient,
-    periodic_green_kernel,
     potential_energy,
     potential_gradient,
     potential_trace,
@@ -28,6 +27,19 @@ from torusflow.geometry import curvature, integrate_ds
 
 
 # -- kernel --------------------------------------------------------------------
+
+
+def periodic_green_kernel(x, y=None):
+    """G(x, y) from the package's raw kernel; y may be omitted when x already
+    holds displacements."""
+    dx, dy, s2 = _separation(x, y)
+    return _green_raw(np.cos(2.0 * np.pi * dx), dy, s2)[()]
+
+
+def biharmonic_green_gradient(x, y=None):
+    """The gradient of G2 in its first argument from the package's raw kernel."""
+    dx, dy, _ = _separation(x, y)
+    return np.stack(_green2_gradient_raw(dx, dy), axis=-1)
 
 
 def test_green_symmetry_random_pairs():

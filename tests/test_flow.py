@@ -194,7 +194,7 @@ def test_nonlocal_energy_only_at_records(monkeypatch):
 def test_evaluation_computes_each_quantity_once(monkeypatch):
     # one v_E trace per evaluation whichever of D and the nonlocal energy is
     # read first; a gamma=0 MS SSD run solves one jump system per record and
-    # one per stage (two per step)
+    # one at each step's midpoint stage (two per step)
     import torusflow.bie as bie_mod
 
     potentials, jumps = [], []
@@ -214,7 +214,37 @@ def test_evaluation_computes_each_quantity_once(monkeypatch):
     st = make_state(strip, "ms", params=FlowParams(dt=2e-5))
     res = run(st, t_end=3 * 2e-5)
     assert res.event == "completed" and len(res.trace) == 4
-    assert len(jumps) == 1 + 3 * 3
+    assert len(jumps) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("kind, gamma", [("ms", 0.0), ("ms", 1.0), ("sd", 0.0)],
+                         ids=["ms_gamma0", "ms_gamma1", "sd"])
+def test_run_evaluates_twice_per_step(monkeypatch, kind, gamma):
+    # the initial record, then per step the midpoint stage and the new state's
+    # record; the first stage reads the state's own evaluation
+    import torusflow.flow as flow_mod
+
+    calls = []
+    evaluate = flow_mod._evaluate
+    monkeypatch.setattr(flow_mod, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    dt = 2e-5 if kind == "ms" else 1e-6
+    st = make_state(shapes.perturbed_strip(0.4, 1e-3, 1, n=64), kind, gamma=gamma,
+                    params=FlowParams(dt=dt))
+    res = run(st, t_end=3 * dt)
+    assert res.event == "completed" and len(res.trace) == 4
+    assert len(calls) == 1 + 2 * 3
+
+
+def test_step_same_with_cached_evaluation():
+    # the first stage reads state.evaluation, built on demand or already cached
+    p = shapes.perturbed_strip(0.4, 1e-3, 1, n=64)
+    fresh = make_state(p, "ms", gamma=1.0)
+    cached = make_state(p, "ms", gamma=1.0)
+    cached.evaluation.V
+    assert "eval" not in fresh.cached
+    a, b = step(fresh, 2e-5).curve, step(cached, 2e-5).curve
+    for la, lb in zip(a.components, b.components):
+        np.testing.assert_array_equal(la.lift, lb.lift)
 
 
 def test_record_reads_state_area(monkeypatch):

@@ -17,14 +17,17 @@ from torusflow.geometry import PeriodicCurve, arclength_derivative, integrate_ds
 from torusflow.variation import (
     assemble_second_variation,
     criticality_residual,
-    geometric_poincare_ratio,
     lamella_threshold,
-    min_translation_distance,
     second_variation_direct,
     spectrum,
     translation_basis,
 )
-from variation_reference import assemble_second_variation_dense, spectrum_dense
+from variation_reference import (
+    assemble_second_variation_dense,
+    geometric_poincare_ratio,
+    min_translation_distance,
+    spectrum_dense,
+)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 """Dense second-variation kernels: test-side references for the assembly and
-the spectrum.
+the spectrum, and two diagnostics only the tests read.
 
 The package assembles the quadratic form by loop blocks (each basis column
 lives on one loop) and projects it onto the zero-mean subspace with one
@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from torusflow.flow import Evaluation
+from torusflow.geometry import arclength_derivative, curvature
 from torusflow.variation import (
     CRIT_TOL,
     OVERLAP_THRESHOLD,
@@ -145,3 +146,33 @@ def spectrum_dense(matrix):
         stab_tol=stab_tol,
         warning=matrix.warning,
     )
+
+
+POINCARE_FLOOR = 1e-24  # int (H - Hbar)^2 below this counts as zero
+
+
+def min_translation_distance(phi, curve):
+    """L2 distance of phi from the span of translation traces, normalized."""
+    vals = curve.require_samples(phi)
+    w = curve.arclength_weights()
+    norm = np.sqrt(float(np.sum(w * vals**2)))
+    if norm == 0.0:
+        raise ValueError("translation distance of the zero function")
+    basis, _ = translation_basis(curve)
+    proj = vals - (basis @ (w * vals)) @ basis
+    return float(np.sqrt(max(np.sum(w * proj**2), 0.0)) / norm)
+
+
+def geometric_poincare_ratio(curve):
+    """Ratio int (H - Hbar)^2 ds / int |D_tau H|^2 ds (inf when H is piecewise const)."""
+    kap = curvature(curve)
+    w = curve.arclength_weights()
+    hbar = float(np.sum(w * kap)) / float(np.sum(w))
+    num = float(np.sum(w * (kap - hbar) ** 2))
+    dk = arclength_derivative(curve, kap)
+    den = float(np.sum(w * dk**2))
+    if num < POINCARE_FLOOR:
+        return 0.0
+    if den < POINCARE_FLOOR * max(num, 1.0):
+        return np.inf
+    return num / den
